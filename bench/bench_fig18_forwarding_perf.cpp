@@ -1,7 +1,7 @@
 // Fig. 18 — "XGW-H's forwarding performance": throughput, packet rate and
 // latency of one XGW-H vs one XGW-x86 of roughly the same unit price.
 // Rates come from the calibrated envelopes; latency is *measured* by
-// pushing packets through the functional pipeline walker.
+// pushing packets through the gateway program's walk.
 
 #include <cstdio>
 
@@ -69,7 +69,7 @@ int main() {
       "paper: XGW-H reaches line rate below 256B; XGW-x86 only above "
       "512B.");
 
-  // (c) latency, measured through the folded pipeline walker.
+  // (c) latency, measured through the folded gateway walk.
   std::printf("\nforwarding latency (measured through the walker):\n");
   sim::TablePrinter latency({"Packet", "XGW-H measured", "XGW-H paper",
                              "XGW-x86 model", "XGW-x86 paper"});

@@ -1,5 +1,5 @@
 // Latency deep-dive: where the paper's "2 µs vs 40 µs" (Fig. 18c) comes
-// from. The XGW-H side is measured through the pipeline walker at several
+// from. The XGW-H side is measured through the gateway walk at several
 // packet sizes; the XGW-x86 side runs the per-core queueing simulator
 // across utilizations, showing the M/D/1 blow-up and the p99 tail that a
 // mean-only model hides.

@@ -6,7 +6,7 @@
 // Technique -> model:
 //  (a) pipeline folding       — a logical gateway path spans two pipelines
 //      (0+1 and 2+3), so tables are stored twice per chip instead of four
-//      times; throughput halves, latency doubles (walker).
+//      times; throughput halves, latency doubles (two walk passes).
 //  (b) table splitting        — the two folded paths hold disjoint halves
 //      of each shardable table (hash of VNI/inner IP picks the path).
 //  (c) IPv4/IPv6 pooling      — one dual-stack LPM table; v4 keys widen to

@@ -37,28 +37,27 @@ std::string to_string(Action action);
 /// whose action is kDrop carries a reason other than kNone.
 enum class DropReason : std::uint8_t {
   kNone = 0,
-  kPipelineFault,        // walker abort (misconfigured loopback/pass loop)
+  kPipelineFault,        // no gateway emits it (values stay stable)
   kInvalidVni,
   kAclDeny,
   kNoRoute,
   kNoVmNcMapping,
-  kNoNcResolved,
+  kNoNcResolved,         // no gateway emits it (values stay stable)
   kPeerResolutionLoop,
   kSnatPoolExhausted,
   kFallbackRateLimited,
   kUnknownVni,           // VNI not assigned to any cluster
   kNoLiveDevice,         // cluster ECMP set is empty
   kUnhandledScope,
-  // ---- sf::guard overload protection (never emitted by asic stages; the
-  // walker's drop codes stop at kUnhandledScope) ----------------------------
+  // ---- sf::guard overload protection (never emitted by a gateway) --------
   kTenantShed,            // tier-2 degradation: the whole tenant is shed
   kTenantNewFlowShed,     // tier-1 degradation: new-flow setup shed
   kPuntQueueFull,         // hardware→x86 punt queue backpressure
   kSnatPortBlockExhausted,  // the session's external IP has no free port
 };
 
-/// Static-storage name; byte-identical to to_string(). Gateways stamp this
-/// into PacketContext::drop_note so a drop never allocates.
+/// Static-storage name; byte-identical to to_string(). The allocation-free
+/// spelling for hot paths.
 const char* name(DropReason reason);
 std::string to_string(DropReason reason);
 

@@ -119,7 +119,6 @@ class MaskedKeyMap {
       std::uint32_t live[kChunk];
       std::uint32_t next[kChunk];
       std::uint64_t h[kChunk];
-      TcamKey canon[kChunk];
       std::size_t live_n = n;
       for (std::size_t i = 0; i < n; ++i) {
         live[i] = static_cast<std::uint32_t>(i);
@@ -129,14 +128,16 @@ class MaskedKeyMap {
            ++it) {
         for (std::size_t j = 0; j < live_n; ++j) {
           const std::uint32_t i = live[j];
-          canon[i] = keys[base + i].masked(it->mask);
-          h[i] = hash_of(canon[i], it->depth);
+          h[i] = hash_of(keys[base + i].masked(it->mask), it->depth);
           __builtin_prefetch(&slots_[h[i] & mask_]);
         }
         std::size_t next_n = 0;
         for (std::size_t j = 0; j < live_n; ++j) {
           const std::uint32_t i = live[j];
-          const Value* v = probe(canon[i], it->depth, h[i]);
+          // Masking again is three ANDs; a TcamKey scratch column would
+          // zero-initialize kChunk keys on every call, burst of one or not.
+          const Value* v =
+              probe(keys[base + i].masked(it->mask), it->depth, h[i]);
           if (v != nullptr) {
             hit[base + i] = 1;
             value[base + i] = *v;

@@ -86,20 +86,4 @@ void MeterTable::reconfigure(std::size_t index, Config config) {
   meter.tokens = std::min(meter.tokens, config.burst_bytes);
 }
 
-std::size_t CounterTable::add() {
-  counters_.emplace_back();
-  return counters_.size() - 1;
-}
-
-void CounterTable::count(std::size_t index, std::uint64_t bytes,
-                         std::uint64_t packets) {
-  Counter& counter = counters_.at(index);
-  counter.packets += packets;
-  counter.bytes += bytes;
-}
-
-const CounterTable::Counter& CounterTable::at(std::size_t index) const {
-  return counters_.at(index);
-}
-
 }  // namespace sf::tables

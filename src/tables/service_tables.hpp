@@ -1,8 +1,9 @@
 // QoS / policy service tables (§3.3 "Handling diverse cloud services"):
-// ACL, meter and counter tables installed per the SLAs signed with
-// customers. They ride in the same pipelines as the two major tables and
-// are what Table 4's "all the actual tables" occupancy adds on top of
-// Table 3.
+// ACL and meter tables installed per the SLAs signed with customers. They
+// ride in the same pipelines as the two major tables; the counter tables
+// beside them exist only as placement demand (asic::GatewayWorkload), and
+// together they are what Table 4's "all the actual tables" occupancy adds
+// on top of Table 3.
 
 #pragma once
 
@@ -95,25 +96,6 @@ class MeterTable {
   };
 
   std::vector<Meter> meters_;
-};
-
-/// A bank of packet/byte counters, one per index.
-class CounterTable {
- public:
-  struct Counter {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-  };
-
-  std::size_t add();
-  std::size_t size() const { return counters_.size(); }
-
-  void count(std::size_t index, std::uint64_t bytes,
-             std::uint64_t packets = 1);
-  const Counter& at(std::size_t index) const;
-
- private:
-  std::vector<Counter> counters_;
 };
 
 }  // namespace sf::tables

@@ -2,48 +2,150 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "net/hash.hpp"
 
 namespace sf::xgwh {
 namespace {
 
-// Metadata field names used across gresses. Widths reflect what a P4
-// program would carry in its bridged header. build_program() interns each
-// name to a dense FieldId once; the per-packet stages below only ever
-// index the PHV slot array.
-constexpr const char* kShard = "shard";              // 1 bit
-constexpr const char* kScope = "scope";              // 3 bits
-constexpr const char* kFallback = "fallback";        // 1 bit
-constexpr const char* kResolvedVni = "resolved_vni"; // 24 bits
-constexpr const char* kTunnelIp = "tunnel_ip";       // 32 bits
-constexpr const char* kNcIp = "nc_ip";               // 32 bits
-constexpr const char* kAction = "fwd_action";        // 2 bits
+// ---- The gateway program's shape -----------------------------------------
+//
+// Four stages in walk order. Folded (Figs. 13/14), each runs in its own
+// gress: entry + ACL in the entry pipe's ingress, the route lookup in the
+// VNI shard's loopback egress, the VM-NC lookup back in that pipe's
+// ingress, and the rewrite in the paired exit pipe's egress. Unfolded, the
+// first three share the entry pipe's ingress and the rewrite runs in its
+// egress. flush_soa_walk() implements the stages; this table only says
+// where they run.
+enum Stage : unsigned {
+  kEntryStage,
+  kRouteStage,
+  kVmNcStage,
+  kRewriteStage,
+  kStageCount
+};
+enum PipeRole : unsigned { kEntryPipe, kLoopbackPipe, kExitPipe };
 
-constexpr std::uint64_t kActForward = 0;
-constexpr std::uint64_t kActTunnel = 1;
-constexpr std::uint64_t kActFallback = 2;
+struct GressSlot {
+  bool egress;
+  PipeRole pipe;
+};
+constexpr GressSlot kFolded[kStageCount] = {
+    {false, kEntryPipe}, {true, kLoopbackPipe}, {false, kLoopbackPipe},
+    {true, kExitPipe}};
+constexpr GressSlot kUnfolded[kStageCount] = {
+    {false, kEntryPipe}, {false, kEntryPipe}, {false, kEntryPipe},
+    {true, kEntryPipe}};
 
-// Drops carry the typed reason through the gateway-agnostic asic layer as
-// a (static note, code) pair; forward() recovers the enum from the code.
-// dataplane::name() strings have static storage, so this never allocates.
-void drop_with(asic::PacketContext& ctx, dataplane::DropReason reason) {
-  ctx.drop(dataplane::name(reason), static_cast<std::uint8_t>(reason));
-}
+constexpr unsigned bit(unsigned i) { return 1u << i; }
 
-dataplane::DropReason reason_from_code(std::uint8_t code) {
-  // Code 0 means the asic layer itself aborted (no stage gave a reason).
-  if (code == 0 ||
-      code > static_cast<std::uint8_t>(dataplane::DropReason::kUnhandledScope)) {
-    return dataplane::DropReason::kPipelineFault;
-  }
-  return static_cast<dataplane::DropReason>(code);
-}
+// The metadata the stages hand on, with the widths a P4 program would
+// carry in its bridged header. Metadata does not survive a gress crossing
+// unless bridged, and a bridge lasts one crossing (§3.2, §4.4): a field
+// crosses the first gress boundary after each stage that bridges it and
+// costs its width in wire bits there. The route stage's verdict is
+// re-bridged by the VM-NC stage, so folded it crosses twice; the forward
+// action is read in the gress that writes it and never crosses.
+struct Field {
+  unsigned bits;
+  unsigned bridged_by;  // stage bitmask
+};
+enum FieldId : unsigned {
+  kShard,
+  kScope,
+  kFallback,
+  kResolvedVni,
+  kTunnelIp,
+  kNcIp,
+  kAction,
+  kFieldCount
+};
+constexpr unsigned kRouteVerdict = bit(kRouteStage) | bit(kVmNcStage);
+constexpr Field kFields[kFieldCount] = {
+    {1, bit(kEntryStage)},  // shard
+    {3, kRouteVerdict},     // scope
+    {1, kRouteVerdict},     // fallback
+    {24, kRouteVerdict},    // resolved_vni
+    {32, kRouteVerdict},    // tunnel_ip
+    {32, bit(kVmNcStage)},  // nc_ip
+    {2, 0},                 // fwd_action
+};
+
+// Each walk path: the last stage it reaches and the fields it writes
+// (indexed by XgwH::WalkPath).
+struct PathShape {
+  Stage last;
+  unsigned fields;  // FieldId bitmask
+};
+constexpr unsigned kSteered =
+    bit(kShard) | bit(kFallback) | bit(kResolvedVni) | bit(kAction);
+constexpr unsigned kScoped = kSteered | bit(kScope);
+constexpr PathShape kShapes[] = {
+    {kEntryStage, 0},                           // invalid VNI
+    {kEntryStage, bit(kShard)},                 // ACL deny
+    {kRouteStage, bit(kShard)},                 // peer loop
+    {kRewriteStage, kSteered},                  // route miss
+    {kRewriteStage, kSteered},                  // Internet
+    {kRewriteStage, kScoped | bit(kTunnelIp)},  // IDC / cross-region
+    {kRewriteStage, kScoped},                   // VM miss
+    {kRewriteStage, kScoped | bit(kNcIp)},      // local forward
+};
+
+// Walk paths ordered before kRouteMiss are drops.
+constexpr dataplane::DropReason kDropReason[] = {
+    dataplane::DropReason::kInvalidVni, dataplane::DropReason::kAclDeny,
+    dataplane::DropReason::kPeerResolutionLoop};
 
 }  // namespace
 
+std::array<XgwH::PathFacts, XgwH::kWalkPaths> XgwH::path_facts(
+    const asic::ChipConfig& chip, bool fold) {
+  static_assert(std::size(kShapes) == kWalkPaths);
+  const GressSlot* layout = fold ? kFolded : kUnfolded;
+  std::array<PathFacts, kWalkPaths> facts{};
+  unsigned widest = 0;
+  for (std::size_t p = 0; p < kWalkPaths; ++p) {
+    const PathShape& shape = kShapes[p];
+    PathFacts& f = facts[p];
+    unsigned bridged_since = 0;  // stages run since the last crossing
+    for (unsigned s = 0; s <= shape.last; ++s) {
+      if (s == 0 || layout[s].egress != layout[s - 1].egress) {
+        // Entering a gress: the fields bridged since the last crossing
+        // ride along as wire overhead.
+        for (unsigned i = 0; i < kFieldCount; ++i) {
+          if ((shape.fields & bit(i)) &&
+              (kFields[i].bridged_by & bridged_since)) {
+            f.bridged_bits = static_cast<std::uint16_t>(f.bridged_bits +
+                                                        kFields[i].bits);
+          }
+        }
+        (layout[s].egress ? f.egress_roles : f.ingress_roles) |=
+            static_cast<std::uint8_t>(bit(layout[s].pipe));
+        if (layout[s].egress) ++f.passes;
+        bridged_since = 0;
+      }
+      bridged_since |= bit(s);
+    }
+    unsigned live = 0;
+    for (unsigned i = 0; i < kFieldCount; ++i) {
+      if (shape.fields & bit(i)) live += kFields[i].bits;
+    }
+    widest = std::max(widest, live);
+  }
+  // PHV resources are scarce (§6.2): the program's metadata must fit.
+  if (widest > chip.phv_metadata_bits) {
+    throw std::length_error(
+        "PHV budget exceeded: the gateway program carries " +
+        std::to_string(widest) + " metadata bits, the chip has " +
+        std::to_string(chip.phv_metadata_bits));
+  }
+  return facts;
+}
+
 XgwH::XgwH(Config config)
-    : config_(std::move(config)), program_(config_.chip.pipelines) {
+    : config_(std::move(config)),
+      path_facts_(path_facts(config_.chip, config_.compression.fold)) {
   if (config_.chip.pipelines != 4) {
     throw std::invalid_argument("XGW-H expects a 4-pipeline chip");
   }
@@ -58,13 +160,21 @@ XgwH::XgwH(Config config)
   }
   fallback_meter_index_ = fallback_meter_.add(tables::MeterTable::Config{
       config_.fallback_rate_bps, config_.fallback_burst_bytes});
-  build_program();
-  walker_ = std::make_unique<asic::Walker>(config_.chip, &program_);
   flow_cache_ = dataplane::FlowCache<CachedWalk>(
       dataplane::FlowCache<CachedWalk>::Config{config_.flow_cache_entries});
 
   registry_ = std::make_unique<telemetry::Registry>();
-  walker_->set_registry(registry_.get());
+  ctr_asic_packets_ = &registry_->counter("asic.packets");
+  ctr_asic_drops_ = &registry_->counter("asic.drops");
+  for (unsigned pipe = 0; pipe < 4; ++pipe) {
+    const std::string base = "asic.pipe" + std::to_string(pipe);
+    ctr_asic_ingress_[pipe] = &registry_->counter(base + ".ingress.packets");
+    ctr_asic_egress_[pipe] = &registry_->counter(base + ".egress.packets");
+  }
+  hist_passes_ = &registry_->histogram(
+      "asic.passes", telemetry::Histogram::Config{
+                         /*min_value=*/1.0, /*growth=*/2.0,
+                         /*buckets=*/4, /*reservoir=*/128});
   ctr_packets_in_ = &registry_->counter("xgwh.packets_in");
   ctr_bytes_in_ = &registry_->counter("xgwh.bytes_in");
   ctr_forwarded_ = &registry_->counter("xgwh.packets_forwarded");
@@ -84,18 +194,6 @@ XgwH::XgwH(Config config)
       "xgwh.latency_us", telemetry::Histogram::Config{
                              /*min_value=*/0.25, /*growth=*/2.0,
                              /*buckets=*/16, /*reservoir=*/256});
-  // The walker registered "asic.passes" in set_registry() above; a cache
-  // hit replays the per-walk record into the same histogram.
-  hist_passes_ = &registry_->histogram("asic.passes");
-  // Same deal for the walker's packet counters: resolved by name (no new
-  // registrations) so the SoA batch walk can bump them in bulk.
-  ctr_asic_packets_ = &registry_->counter("asic.packets");
-  ctr_asic_drops_ = &registry_->counter("asic.drops");
-  for (unsigned pipe = 0; pipe < 4; ++pipe) {
-    const std::string base = "asic.pipe" + std::to_string(pipe);
-    ctr_asic_ingress_[pipe] = &registry_->counter(base + ".ingress.packets");
-    ctr_asic_egress_[pipe] = &registry_->counter(base + ".egress.packets");
-  }
 }
 
 unsigned XgwH::shard_of_vni(net::Vni vni) {
@@ -234,332 +332,95 @@ std::size_t XgwH::mapping_count() const {
          s1.conflict_entries;
 }
 
-void XgwH::build_program() {
-  // Compile step: intern every metadata field name once. The stages below
-  // only touch the PHV through these dense ids — no string hashing per
-  // packet. freeze() turns any runtime intern into a hard error.
-  asic::PhvLayout& layout = program_.phv_layout();
-  fid_shard_ = layout.intern(kShard);
-  fid_scope_ = layout.intern(kScope);
-  fid_fallback_ = layout.intern(kFallback);
-  fid_resolved_vni_ = layout.intern(kResolvedVni);
-  fid_tunnel_ip_ = layout.intern(kTunnelIp);
-  fid_nc_ip_ = layout.intern(kNcIp);
-  fid_action_ = layout.intern(kAction);
-  layout.freeze();
-
-  const bool folded = config_.compression.fold;
-  auto bind = [this](void (XgwH::*fn)(asic::PacketContext&)) {
-    return [this, fn](asic::PacketContext& ctx) { (this->*fn)(ctx); };
-  };
-  auto bind_shard = [this](void (XgwH::*fn)(asic::PacketContext&, unsigned),
-                           unsigned shard) {
-    return [this, fn, shard](asic::PacketContext& ctx) {
-      (this->*fn)(ctx, shard);
-    };
-  };
-
-  if (folded) {
-    // Entry pipes 0/2: ACL + shard steering.
-    for (unsigned pipe : {0u, 2u}) {
-      asic::GressProgram entry{"entry", {bind(&XgwH::stage_entry),
-                                         bind(&XgwH::stage_acl)}};
-      program_.set_ingress(pipe, std::move(entry));
-      program_.set_egress(
-          pipe, asic::GressProgram{"rewrite", {bind(&XgwH::stage_rewrite)}});
-      program_.set_loopback(pipe, false);
+void XgwH::count_walk(const CachedWalk& walk) {
+  const PathFacts& facts = path_facts_[static_cast<std::size_t>(walk.path)];
+  const unsigned pipes[] = {walk.entry_pipe, walk.exit_pipe | 1u,
+                            walk.exit_pipe};
+  for (unsigned role = 0; role < 3; ++role) {
+    if ((facts.ingress_roles >> role) & 1u) {
+      ctr_asic_ingress_[pipes[role]]->add();
     }
-    // Loopback pipes 1/3: shard-local route + VM-NC lookups.
-    for (unsigned shard : {0u, 1u}) {
-      const unsigned pipe = 1 + 2 * shard;
-      program_.set_egress(
-          pipe, asic::GressProgram{
-                    "route",
-                    {bind_shard(&XgwH::stage_route_lookup, shard)}});
-      program_.set_ingress(
-          pipe, asic::GressProgram{
-                    "vm_nc",
-                    {bind_shard(&XgwH::stage_vm_nc_lookup, shard)}});
-      program_.set_loopback(pipe, true);
-    }
-  } else {
-    // Unfolded: the full program in one pass on every pipe; tables are not
-    // sharded (shard 0 holds everything).
-    for (unsigned pipe = 0; pipe < config_.chip.pipelines; ++pipe) {
-      program_.set_ingress(
-          pipe, asic::GressProgram{
-                    "full",
-                    {bind(&XgwH::stage_entry), bind(&XgwH::stage_acl),
-                     bind_shard(&XgwH::stage_route_lookup, 0),
-                     bind_shard(&XgwH::stage_vm_nc_lookup, 0)}});
-      program_.set_egress(
-          pipe, asic::GressProgram{"rewrite", {bind(&XgwH::stage_rewrite)}});
-      program_.set_loopback(pipe, false);
+    if ((facts.egress_roles >> role) & 1u) {
+      ctr_asic_egress_[pipes[role]]->add();
     }
   }
-}
-
-void XgwH::stage_entry(asic::PacketContext& ctx) {
-  if (ctx.packet.vni > net::kMaxVni) {
-    drop_with(ctx, dataplane::DropReason::kInvalidVni);
-    return;
+  ctr_asic_packets_->add();
+  // Every route lookup hits except the last one of a route miss.
+  const unsigned route_hits =
+      walk.route_lookups - (walk.path == WalkPath::kRouteMiss ? 1u : 0u);
+  if (route_hits != 0) ctr_route_hit_->add(route_hits);
+  switch (walk.path) {
+    case WalkPath::kInvalidVni:
+    case WalkPath::kPeerLoop:
+      ctr_asic_drops_->add();
+      break;
+    case WalkPath::kAclDeny:
+      ctr_asic_drops_->add();
+      ctr_acl_deny_->add();
+      break;
+    case WalkPath::kRouteMiss:
+      ctr_route_miss_->add();
+      break;
+    case WalkPath::kVmMiss:
+      ctr_vm_miss_->add();
+      break;
+    case WalkPath::kLocal:
+      ctr_vm_hit_->add();
+      break;
+    case WalkPath::kInternet:
+    case WalkPath::kTunnel:
+      break;
   }
-  const unsigned shard = shard_of(ctx.packet.vni);
-  ctx.meta.set(fid_shard_, shard, 1, /*bridged=*/true);
-  if (config_.compression.fold) {
-    // Steer through the loopback pipe owning this shard (Fig. 14).
-    ctx.egress_pipe = 1 + 2 * shard;
-  }
-}
-
-void XgwH::stage_acl(asic::PacketContext& ctx) {
-  if (acl_.evaluate(ctx.packet.vni, ctx.packet.inner) ==
-      tables::AclVerdict::kDeny) {
-    ctr_acl_deny_->add();
-    drop_with(ctx, dataplane::DropReason::kAclDeny);
-  }
-}
-
-void XgwH::stage_route_lookup(asic::PacketContext& ctx, unsigned shard) {
-  (void)shard;  // the pipe this stage runs in; see the note below
-  net::Vni vni = ctx.packet.vni;
-  // Iterative lookup until the scope leaves "Peer" (Fig. 2's walkthrough).
-  // Each hop resolves in the shard owning the *current* VNI: peered VPCs
-  // can land on different parities, in which case a hardware
-  // implementation recirculates the packet through the sibling loopback
-  // pipe (rare; peer hops are a thin slice of traffic) or the controller
-  // co-shards the peer group. The functional model reads the sibling
-  // shard directly.
-  for (int hop = 0; hop < 4; ++hop) {
-    auto route = shards_[shard_of(vni)].routes.lookup(vni,
-                                                      ctx.packet.inner.dst);
-    (route ? ctr_route_hit_ : ctr_route_miss_)->add();
-    if (!route) {
-      // Long-tail/volatile tables live in XGW-x86: steer, don't drop.
-      ctx.meta.set(fid_fallback_, 1, 1, true);
-      ctx.meta.set(fid_resolved_vni_, vni, 24, true);
-      return;
-    }
-    switch (route->scope) {
-      case tables::RouteScope::kLocal:
-        ctx.meta.set(fid_scope_, static_cast<std::uint64_t>(route->scope), 3,
-                     true);
-        ctx.meta.set(fid_fallback_, 0, 1, true);
-        ctx.meta.set(fid_resolved_vni_, vni, 24, true);
-        return;
-      case tables::RouteScope::kPeer:
-        vni = route->next_hop_vni;
-        continue;
-      case tables::RouteScope::kIdc:
-      case tables::RouteScope::kCrossRegion:
-        ctx.meta.set(fid_scope_, static_cast<std::uint64_t>(route->scope), 3,
-                     true);
-        ctx.meta.set(fid_fallback_, 0, 1, true);
-        ctx.meta.set(fid_resolved_vni_, vni, 24, true);
-        ctx.meta.set(fid_tunnel_ip_, route->remote_endpoint.value(), 32,
-                     true);
-        return;
-      case tables::RouteScope::kInternet:
-        // South-north: SNAT happens at XGW-x86 (Fig. 11).
-        ctx.meta.set(fid_fallback_, 1, 1, true);
-        ctx.meta.set(fid_resolved_vni_, vni, 24, true);
-        return;
-    }
-  }
-  drop_with(ctx, dataplane::DropReason::kPeerResolutionLoop);
-}
-
-void XgwH::stage_vm_nc_lookup(asic::PacketContext& ctx, unsigned shard) {
-  // Re-bridge the routing verdict across the remaining crossings.
-  for (asic::FieldId field :
-       {fid_scope_, fid_fallback_, fid_resolved_vni_, fid_tunnel_ip_}) {
-    ctx.meta.bridge(field);
-  }
-  if (config_.compression.fold) {
-    // Exit through the entry-side pipe paired with this loopback pipe
-    // (Ingress 1 -> Egress 0, Ingress 3 -> Egress 2; Fig. 13).
-    ctx.egress_pipe = ctx.pipe == 1 ? 0 : 2;
-  }
-
-  if (ctx.meta.get_or(fid_fallback_) == 1) return;
-  const auto scope =
-      static_cast<tables::RouteScope>(ctx.meta.get_or(fid_scope_));
-  if (scope != tables::RouteScope::kLocal) return;  // tunnel scopes skip
-
-  const net::Vni vni =
-      static_cast<net::Vni>(ctx.meta.get_or(fid_resolved_vni_));
-  // Like the route stage: the mapping lives in the resolved VNI's shard.
-  (void)shard;
-  auto mapping =
-      shards_[shard_of(vni)].mappings.lookup(vni, ctx.packet.inner.dst);
-  (mapping ? ctr_vm_hit_ : ctr_vm_miss_)->add();
-  if (!mapping) {
-    // Mapping not in hardware (volatile entry): fall back to XGW-x86.
-    ctx.meta.set(fid_fallback_, 1, 1, true);
-    return;
-  }
-  ctx.meta.set(fid_nc_ip_, mapping->nc_ip.value(), 32, true);
-}
-
-void XgwH::stage_rewrite(asic::PacketContext& ctx) {
-  ctx.packet.outer_src_ip = net::IpAddr(config_.device_ip);
-  if (ctx.meta.get_or(fid_fallback_) == 1) {
-    ctx.packet.outer_dst_ip = net::IpAddr(config_.x86_next_hop);
-    ctx.meta.set(fid_action_, kActFallback, 2);
-    return;
-  }
-  const auto scope =
-      static_cast<tables::RouteScope>(ctx.meta.get_or(fid_scope_));
-  if (scope == tables::RouteScope::kIdc ||
-      scope == tables::RouteScope::kCrossRegion) {
-    ctx.packet.outer_dst_ip = net::IpAddr(net::Ipv4Addr(
-        static_cast<std::uint32_t>(ctx.meta.get_or(fid_tunnel_ip_))));
-    ctx.meta.set(fid_action_, kActTunnel, 2);
-    return;
-  }
-  auto nc = ctx.meta.get(fid_nc_ip_);
-  if (!nc) {
-    drop_with(ctx, dataplane::DropReason::kNoNcResolved);
-    return;
-  }
-  ctx.packet.outer_dst_ip =
-      net::IpAddr(net::Ipv4Addr(static_cast<std::uint32_t>(*nc)));
-  ctx.meta.set(fid_action_, kActForward, 2);
-}
-
-void XgwH::snapshot_walk_counters() {
-  // The counter set is fixed after construction in practice; re-scan only
-  // if something registered extra counters since the last walk.
-  if (tracked_counters_.size() != registry_->counter_count()) {
-    tracked_counters_.clear();
-    tracked_counters_.reserve(registry_->counter_count());
-    registry_->for_each_counter(
-        [this](const std::string&, telemetry::Counter& counter) {
-          tracked_counters_.push_back(&counter);
-        });
-  }
-  walk_baseline_.resize(tracked_counters_.size());
-  for (std::size_t i = 0; i < tracked_counters_.size(); ++i) {
-    walk_baseline_[i] = tracked_counters_[i]->value();
-  }
-}
-
-XgwH::CachedWalk XgwH::summarize_walk(const asic::PacketContext& ctx,
-                                      const asic::WalkSummary& walked,
-                                      bool capture_deltas) {
-  CachedWalk walk;
-  walk.dropped = walked.dropped;
-  walk.drop_code = walked.drop_code;
-  walk.act = static_cast<std::uint8_t>(
-      ctx.meta.get_or(fid_action_, kActForward));
-  // stage_rewrite is the only stage that mutates the packet: it writes
-  // outer_src unconditionally, then outer_dst unless it drops first
-  // (kNoNcResolved). Whether the rewrite ran is a property of the walk
-  // path, so it caches with the verdict.
-  walk.set_outer_src =
-      !walked.dropped ||
-      walked.drop_code ==
-          static_cast<std::uint8_t>(dataplane::DropReason::kNoNcResolved);
-  walk.set_outer_dst = !walked.dropped;
-  walk.outer_src = ctx.packet.outer_src_ip;
-  walk.outer_dst = ctx.packet.outer_dst_ip;
-  walk.passes = static_cast<std::uint8_t>(walked.passes);
-  walk.egress_pipe = static_cast<std::uint8_t>(walked.egress_pipe);
-  walk.bridged_bits = static_cast<std::uint16_t>(walked.bridged_bits);
-  // Exact per-counter deltas the walk produced (stage hit/miss counts,
-  // per-pipe packet counts, asic totals) — replayed verbatim on a hit so
-  // telemetry snapshots cannot tell the fast path from a walk. The
-  // pattern is interned: flows sharing a walk path share one delta set.
-  if (capture_deltas) {
-    scratch_deltas_.clear();
-    for (std::size_t i = 0; i < tracked_counters_.size(); ++i) {
-      const std::uint64_t delta =
-          tracked_counters_[i]->value() - walk_baseline_[i];
-      if (delta != 0) scratch_deltas_.push_back({tracked_counters_[i], delta});
-    }
-    walk.delta_set = intern_delta_set(scratch_deltas_);
-  }
-  return walk;
-}
-
-std::uint32_t XgwH::intern_delta_set(const std::vector<CounterDelta>& deltas) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ull;
-  for (const CounterDelta& d : deltas) {
-    h ^= reinterpret_cast<std::uintptr_t>(d.counter) + 0x9E3779B97F4A7C15ull +
-         (h << 6) + (h >> 2);
-    h ^= d.delta + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  }
-  auto [it, fresh] =
-      delta_set_index_.try_emplace(h, static_cast<std::uint32_t>(
-                                          delta_sets_.size()));
-  if (fresh) {
-    delta_sets_.push_back(deltas);
-    return it->second;
-  }
-  // Hash collision between distinct patterns would silently misattribute
-  // counters; verify and fall back to an un-deduplicated append.
-  const std::vector<CounterDelta>& existing = delta_sets_[it->second];
-  const bool same =
-      existing.size() == deltas.size() &&
-      std::equal(existing.begin(), existing.end(), deltas.begin(),
-                 [](const CounterDelta& a, const CounterDelta& b) {
-                   return a.counter == b.counter && a.delta == b.delta;
-                 });
-  if (same) return it->second;
-  delta_sets_.push_back(deltas);
-  return static_cast<std::uint32_t>(delta_sets_.size() - 1);
 }
 
 void XgwH::finish_into(dataplane::Verdict& dest,
                        const net::OverlayPacket& packet, double now,
-                       const CachedWalk& walk, bool replayed,
-                       ForwardResult* extras) {
-  if (replayed) {
-    if (walk.delta_set != CachedWalk::kNoDeltaSet) {
-      for (const CounterDelta& d : delta_sets_[walk.delta_set]) {
-        d.counter->add(d.delta);
-      }
-    }
-    hist_passes_->record(static_cast<double>(walk.passes));
-  }
+                       const CachedWalk& walk, ForwardResult* extras) {
+  count_walk(walk);
+  const PathFacts& facts = path_facts_[static_cast<std::size_t>(walk.path)];
+  const bool dropped = walk.path < WalkPath::kRouteMiss;
+  hist_passes_->record(static_cast<double>(facts.passes));
 
   // The batch path hands `dest` straight from the caller's verdict array,
   // so every Verdict field is (re)assigned here — nothing may survive from
-  // a previous burst's verdict in the same slot.
+  // a previous burst's verdict in the same slot. Drops die before the
+  // rewrite and leave the packet untouched.
   dest.packet = packet;
-  if (walk.set_outer_src) dest.packet.outer_src_ip = walk.outer_src;
-  if (walk.set_outer_dst) dest.packet.outer_dst_ip = walk.outer_dst;
+  if (!dropped) {
+    dest.packet.outer_src_ip = net::IpAddr(config_.device_ip);
+    dest.packet.outer_dst_ip = walk.outer_dst;
+  }
   dest.software_path = false;
   if (extras != nullptr) {
-    extras->passes = walk.passes;
-    extras->egress_pipe = walk.egress_pipe;
+    extras->passes = facts.passes;
+    extras->egress_pipe = dropped ? 0u : walk.exit_pipe;
   }
-  // Same formula the walker applies; wire size comes from this packet, so
-  // flows whose packets vary in size still get exact latencies on a hit.
+  // Wire size comes from this packet, so flows whose packets vary in size
+  // still get exact latencies on a cache hit.
   dest.latency_us = config_.chip.latency_us(
-      walk.passes, dest.packet.wire_size() + walk.bridged_bits / 8);
+      facts.passes, dest.packet.wire_size() + facts.bridged_bits / 8);
   hist_latency_->record(dest.latency_us);
 
   if (config_.compression.fold) {
     const unsigned shard = shard_of(packet.vni);
     const unsigned loopback_pipe = 1 + 2 * shard;
     if (extras != nullptr) extras->shard_pipe = loopback_pipe;
-    if (!walk.dropped) {
+    if (!dropped) {
       shard_pipe_bytes_[loopback_pipe] += packet.wire_size();
       ctr_pipe_bytes_[loopback_pipe]->add(packet.wire_size());
     }
   }
 
-  if (walk.dropped) {
+  if (dropped) {
     ++telemetry_.packets_dropped;
     ctr_dropped_->add();
     dest.action = dataplane::Action::kDrop;
-    dest.drop_reason = reason_from_code(walk.drop_code);
+    dest.drop_reason = kDropReason[static_cast<std::size_t>(walk.path)];
     return;
   }
   dest.drop_reason = dataplane::DropReason::kNone;
 
-  if (walk.act == kActFallback) {
+  if (walk.path != WalkPath::kTunnel && walk.path != WalkPath::kLocal) {
     // Overload protection before handing to the software gateway. The
     // meter is stateful, so it runs on every packet — cache hits included.
     if (fallback_meter_.offer(fallback_meter_index_,
@@ -580,57 +441,46 @@ void XgwH::finish_into(dataplane::Verdict& dest,
   }
   ++telemetry_.packets_forwarded;
   ctr_forwarded_->add();
-  dest.action = walk.act == kActTunnel ? dataplane::Action::kForwardTunnel
-                                       : dataplane::Action::kForwardToNc;
+  dest.action = walk.path == WalkPath::kTunnel
+                    ? dataplane::Action::kForwardTunnel
+                    : dataplane::Action::kForwardToNc;
 }
 
-ForwardResult XgwH::finish(const net::OverlayPacket& packet, double now,
-                           const CachedWalk& walk, bool replayed) {
-  ForwardResult result;
-  finish_into(result, packet, now, walk, replayed, &result);
-  return result;
-}
-
-ForwardResult XgwH::forward(const net::OverlayPacket& packet, double now,
-                            std::optional<unsigned> ingress_pipe) {
+ForwardResult XgwH::forward(const net::OverlayPacket& packet, double now) {
   ++telemetry_.packets_in;
   telemetry_.bytes_in += packet.wire_size();
   ctr_packets_in_->add();
   ctr_bytes_in_->add(packet.wire_size());
 
   // One tuple hash serves both the entry-pipe pick and the cache key (the
-  // sharded engine threads the very same hash down process_batch). An
-  // explicit ingress_pipe overrides the flow-hash pick, so those packets
-  // bypass the cache entirely.
-  const bool cacheable = flow_cache_.enabled() && !ingress_pipe.has_value();
+  // sharded engine threads the very same hash down process_batch).
+  const std::uint64_t h = packet.inner.hash();
+  ForwardResult result;
   dataplane::FlowKey key;
   std::uint64_t generation = 0;
-  unsigned entry_pipe = 0;
-  if (ingress_pipe) {
-    entry_pipe = *ingress_pipe;
-  } else {
-    const std::uint64_t h = packet.inner.hash();
-    entry_pipe = entry_pipe_of(h);
-    if (cacheable) {
-      // Fast path: replay the cached walk for this exact (VNI, 5-tuple).
-      key = dataplane::make_flow_key(packet.vni, h);
-      generation = effective_generation(packet.vni);
-      if (const CachedWalk* hit = flow_cache_.find(key, generation)) {
-        return finish(packet, now, *hit, /*replayed=*/true);
-      }
+  bool capture = false;
+  if (flow_cache_.enabled()) {
+    // Fast path: replay the cached walk for this exact (VNI, 5-tuple).
+    key = dataplane::make_flow_key(packet.vni, h);
+    generation = effective_generation(packet.vni);
+    if (const CachedWalk* hit = flow_cache_.find(key, generation)) {
+      finish_into(result, packet, now, *hit, &result);
+      return result;
     }
+    // Second-miss admission: only flows that have missed before are worth
+    // an insert; one-packet flows cost a single filter write.
+    capture = flow_cache_.note_miss(key);
   }
 
-  // Second-miss admission: only flows that have missed before are worth
-  // the capture + insert; one-packet flows cost a single filter write.
-  const bool capture = cacheable && flow_cache_.note_miss(key);
-  if (capture) snapshot_walk_counters();
-  asic::WalkSummary walked;
-  walker_->run(packet, entry_pipe, batch_.walk_ctx, walked);
-  CachedWalk summary =
-      summarize_walk(batch_.walk_ctx, walked, /*capture_deltas=*/capture);
-  const ForwardResult result = finish(packet, now, summary, /*replayed=*/false);
-  if (capture) flow_cache_.insert(key, generation, summary);
+  // A miss walks as a burst of one.
+  static constexpr std::uint32_t kOnly = 0;
+  batch_.hash.assign(1, h);
+  batch_.walk.resize(1);
+  batch_.pend.assign(1, 0);
+  flush_soa_walk({&packet, 1}, {&kOnly, 1});
+  const CachedWalk walk = batch_.walk[0];
+  finish_into(result, packet, now, walk, &result);
+  if (capture) flow_cache_.insert(key, generation, walk);
   return result;
 }
 
@@ -708,9 +558,6 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
     }
   }
 
-  // Bulk ingest, BEFORE any capture snapshot: a capture walk's counter
-  // delta window must contain that walk's adds and nothing else, exactly
-  // like the scalar path (which ingests each packet before snapshotting).
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < n; ++i) bytes += packets[indices[i]].wire_size();
   telemetry_.packets_in += n;
@@ -720,7 +567,6 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
 
   b.pend.clear();
   b.walk.resize(n);
-  b.replayed.assign(n, 0);
 
   if (flow_cache_.enabled()) {
     b.key.resize(n);
@@ -735,28 +581,19 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
     }
     // Phase 2: probe in strict packet order — find/note_miss/insert
     // mutate cache stats and admission state, and their sequence is part
-    // of the byte-identity contract. Only walks with no cache side
-    // effects (non-capture misses) defer to the SoA sweep.
+    // of the byte-identity contract. Misses queue for the SoA sweep.
     for (std::size_t i = 0; i < n; ++i) {
       if (const CachedWalk* hit = flow_cache_.find(b.key[i], b.gen[i])) {
         b.walk[i] = *hit;  // copy: the pointer dies at the next insert
-        b.replayed[i] = 1;
         continue;
       }
+      b.pend.push_back(static_cast<std::uint32_t>(i));
       if (flow_cache_.note_miss(b.key[i])) {
-        // Capture miss: walks alone so its delta window stays exact.
-        // Flush the deferred packets gathered so far first — their bulk
-        // counter adds must land outside the window.
+        // Capture miss: the entry must be in the cache before the next
+        // probe (a later packet of this flow may hit it), so the pending
+        // sub-burst, this packet included, walks now.
         flush_soa_walk(packets, indices);
-        snapshot_walk_counters();
-        asic::WalkSummary walked;
-        walker_->run(packets[indices[i]], entry_pipe_of(b.hash[i]),
-                     b.walk_ctx, walked, /*record_pass_hist=*/false);
-        b.walk[i] =
-            summarize_walk(b.walk_ctx, walked, /*capture_deltas=*/true);
         flow_cache_.insert(b.key[i], b.gen[i], b.walk[i]);
-      } else {
-        b.pend.push_back(static_cast<std::uint32_t>(i));
       }
     }
   } else {
@@ -768,8 +605,7 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
 
   // Phase 3: emit verdicts in packet order. Histogram records and the
   // stateful fallback meter live here, so their streams are sample-for-
-  // sample what the scalar loop produces. Deferred walks suppressed their
-  // in-walk "asic.passes" record; replayed hits record theirs in finish.
+  // sample what the scalar loop produces.
   for (std::size_t i = 0; i < n; ++i) {
     // The verdict slots are write-allocated on first touch and the index
     // stride defeats the hardware streamer — hint them in ahead.
@@ -779,13 +615,9 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
       __builtin_prefetch(slot + 64, 1);
       __builtin_prefetch(slot + 128, 1);
     }
-    if (b.replayed[i] == 0) {
-      hist_passes_->record(static_cast<double>(b.walk[i].passes));
-    }
     // In-place emission: finish_into writes every Verdict field, so the
     // slot needs no clearing and no ForwardResult temporary is copied.
-    finish_into(out[indices[i]], packets[indices[i]], now, b.walk[i],
-                b.replayed[i] != 0);
+    finish_into(out[indices[i]], packets[indices[i]], now, b.walk[i]);
   }
 }
 
@@ -795,60 +627,48 @@ void XgwH::flush_soa_walk(std::span<const net::OverlayPacket> packets,
   const std::size_t m = b.pend.size();
   if (m == 0) return;
   const bool fold = config_.compression.fold;
+  const net::IpAddr x86_hop{config_.x86_next_hop};
 
   b.vni.resize(m);
-  b.entry_pipe.resize(m);
-  b.lb_pipe.resize(m);
-  b.exit_pipe.resize(m);
-  b.alive.assign(m, 1);
-  b.drop_code.assign(m, 0);
-  b.scope.assign(m, 0);
-  b.fallback.assign(m, 0);
-  b.has_nc.assign(m, 0);
-  b.tunnel_ip.resize(m);
-  b.nc_ip.resize(m);
   b.rkey.resize(m);
   b.rpart.resize(m);
 
-  // Counter totals, added in bulk at the end (counters commute, so only
-  // the totals must match the scalar walk's per-packet bumps).
-  std::array<std::uint64_t, 4> ing{};
-  std::array<std::uint64_t, 4> eg{};
-  std::uint64_t n_drops = 0, n_route_hit = 0, n_route_miss = 0;
-  std::uint64_t n_vm_hit = 0, n_vm_miss = 0, n_acl_deny = 0;
-
-  // Ingress pass 0: parse + entry + ACL. Every packet charges its entry
-  // pipe's ingress counter (the walker bumps it before any stage runs);
-  // folded survivors then cross to their shard's loopback egress.
+  // Entry stage: VNI check and ACL. Folded, the VNI's shard picks the
+  // loopback pipe (1 + 2 * shard) and the exit pipe paired with it
+  // (Ingress 1 -> Egress 0, Ingress 3 -> Egress 2; Fig. 13); unfolded,
+  // the packet exits through the pipe it entered.
   b.work.clear();
   for (std::size_t k = 0; k < m; ++k) {
-    const net::OverlayPacket& pkt = packets[indices[b.pend[k]]];
-    b.vni[k] = pkt.vni;
-    const unsigned entry = entry_pipe_of(b.hash[b.pend[k]]);
-    b.entry_pipe[k] = entry;
-    ++ing[entry];
+    const std::uint32_t pos = b.pend[k];
+    const net::OverlayPacket& pkt = packets[indices[pos]];
+    CachedWalk& walk = b.walk[pos];
+    walk = CachedWalk{};
+    walk.entry_pipe = static_cast<std::uint8_t>(entry_pipe_of(b.hash[pos]));
+    walk.exit_pipe = static_cast<std::uint8_t>(
+        fold ? 2 * shard_of(pkt.vni) : walk.entry_pipe);
     if (pkt.vni > net::kMaxVni) {
-      b.alive[k] = 0;
-      b.drop_code[k] =
-          static_cast<std::uint8_t>(dataplane::DropReason::kInvalidVni);
+      walk.path = WalkPath::kInvalidVni;
       continue;
     }
-    b.lb_pipe[k] = 1 + 2 * shard_of(pkt.vni);
     if (acl_.evaluate(pkt.vni, pkt.inner) == tables::AclVerdict::kDeny) {
-      ++n_acl_deny;
-      b.alive[k] = 0;
-      b.drop_code[k] =
-          static_cast<std::uint8_t>(dataplane::DropReason::kAclDeny);
+      walk.path = WalkPath::kAclDeny;
       continue;
     }
-    if (fold) ++eg[b.lb_pipe[k]];
+    b.vni[k] = pkt.vni;
     b.work.push_back(static_cast<std::uint32_t>(k));
   }
 
-  // Route lookups, one software-pipelined sweep per peer hop: build the
-  // pooled key and prepare (TCAM directory probe + SRAM bucket prefetch)
-  // for the whole worklist, then resolve the whole worklist — each
-  // bucket's DRAM fetch hides behind the other keys' directory probes.
+  // Route stage, one software-pipelined sweep per peer hop (Fig. 2's
+  // iterative lookup until the scope leaves "Peer"): build the pooled key
+  // and prepare (TCAM directory probe + SRAM bucket prefetch) for the
+  // whole worklist, then resolve the whole worklist — each bucket's DRAM
+  // fetch hides behind the other keys' directory probes. Each hop
+  // resolves in the shard owning the *current* VNI: peered VPCs can land
+  // on different shards, in which case hardware recirculates through the
+  // sibling loopback pipe (rare; peer hops are a thin slice of traffic)
+  // or the controller co-shards the peer group. The model reads the
+  // sibling shard directly.
+  b.local.clear();
   for (int hop = 0; hop < 4 && !b.work.empty(); ++hop) {
     // Group the worklist by pipeline shard so each shard's ALPM gets one
     // contiguous key span: the directory sweep then hashes + prefetches
@@ -875,17 +695,19 @@ void XgwH::flush_soa_walk(std::span<const net::OverlayPacket> packets,
     }
     b.next_work.clear();
     for (std::uint32_t k : b.work) {
+      CachedWalk& walk = b.walk[b.pend[k]];
+      ++walk.route_lookups;
       auto route = shards_[shard_of(b.vni[k])].routes.lookup_resolve(
           b.rkey[k], b.rpart[k]);
       if (!route) {
-        ++n_route_miss;
-        b.fallback[k] = 1;
+        // Long-tail/volatile tables live in XGW-x86: steer, don't drop.
+        walk.path = WalkPath::kRouteMiss;
+        walk.outer_dst = x86_hop;
         continue;
       }
-      ++n_route_hit;
       switch (route->scope) {
         case tables::RouteScope::kLocal:
-          b.scope[k] = static_cast<std::uint8_t>(route->scope);
+          b.local.push_back(k);
           break;
         case tables::RouteScope::kPeer:
           b.vni[k] = route->next_hop_vni;
@@ -893,148 +715,49 @@ void XgwH::flush_soa_walk(std::span<const net::OverlayPacket> packets,
           break;
         case tables::RouteScope::kIdc:
         case tables::RouteScope::kCrossRegion:
-          b.scope[k] = static_cast<std::uint8_t>(route->scope);
-          b.tunnel_ip[k] = route->remote_endpoint.value();
+          walk.path = WalkPath::kTunnel;
+          walk.outer_dst = net::IpAddr(route->remote_endpoint);
           break;
         case tables::RouteScope::kInternet:
-          b.fallback[k] = 1;
+          // South-north: SNAT happens at XGW-x86 (Fig. 11).
+          walk.path = WalkPath::kInternet;
+          walk.outer_dst = x86_hop;
           break;
       }
     }
     std::swap(b.work, b.next_work);
   }
-  // Hop budget exhausted with peers still pending: the scalar stage drops.
-  for (std::uint32_t k : b.work) {
-    b.alive[k] = 0;
-    b.drop_code[k] =
-        static_cast<std::uint8_t>(dataplane::DropReason::kPeerResolutionLoop);
-  }
+  for (std::uint32_t k : b.work) b.walk[b.pend[k]].path = WalkPath::kPeerLoop;
 
-  // Pass 1 (folded): survivors loop back through the shard pipe's ingress
-  // and pick their exit pipe; unfolded exits through the entry pipe.
-  // Local-scope non-fallback packets queue for the VM-NC sweep.
-  b.work.clear();
-  for (std::size_t k = 0; k < m; ++k) {
-    if (!b.alive[k]) continue;
-    if (fold) ++ing[b.lb_pipe[k]];
-    b.exit_pipe[k] = fold ? (b.lb_pipe[k] == 1 ? 0u : 2u) : b.entry_pipe[k];
-    if (b.fallback[k] == 0 &&
-        static_cast<tables::RouteScope>(b.scope[k]) ==
-            tables::RouteScope::kLocal) {
-      b.work.push_back(static_cast<std::uint32_t>(k));
-    }
-  }
-
-  // VM-NC sweep: prefetch the mapping buckets a strip at a time, then
+  // VM-NC stage: prefetch the mapping buckets a strip at a time, then
   // resolve the strip. Strips keep the prefetched lines L1-resident —
   // prefetching the whole burst up front left the early lines evicted by
   // the time the resolve loop reached them. The mapping lives in the
-  // *resolved* VNI's shard, same as the scalar stage.
+  // *resolved* VNI's shard, like the route.
   constexpr std::size_t kVmStrip = 64;
-  for (std::size_t s0 = 0; s0 < b.work.size(); s0 += kVmStrip) {
-    const std::size_t s1 = std::min(s0 + kVmStrip, b.work.size());
+  for (std::size_t s0 = 0; s0 < b.local.size(); s0 += kVmStrip) {
+    const std::size_t s1 = std::min(s0 + kVmStrip, b.local.size());
     for (std::size_t j = s0; j < s1; ++j) {
-      const std::uint32_t k = b.work[j];
+      const std::uint32_t k = b.local[j];
       const net::OverlayPacket& pkt = packets[indices[b.pend[k]]];
       shards_[shard_of(b.vni[k])].mappings.prefetch(b.vni[k], pkt.inner.dst);
     }
     for (std::size_t j = s0; j < s1; ++j) {
-      const std::uint32_t k = b.work[j];
+      const std::uint32_t k = b.local[j];
       const net::OverlayPacket& pkt = packets[indices[b.pend[k]]];
+      CachedWalk& walk = b.walk[b.pend[k]];
       auto mapping =
           shards_[shard_of(b.vni[k])].mappings.lookup(b.vni[k], pkt.inner.dst);
       if (mapping) {
-        ++n_vm_hit;
-        b.has_nc[k] = 1;
-        b.nc_ip[k] = mapping->nc_ip.value();
+        walk.path = WalkPath::kLocal;
+        walk.outer_dst = net::IpAddr(mapping->nc_ip);
       } else {
-        ++n_vm_miss;
-        b.fallback[k] = 2;  // vm-stage fallback: bridged accounting differs
+        // Mapping not in hardware (volatile entry): fall back to XGW-x86.
+        walk.path = WalkPath::kVmMiss;
+        walk.outer_dst = x86_hop;
       }
     }
   }
-
-  // Rewrite + summary fill. Passes and bridged bits are exact per-path
-  // constants of the pipeline program — DESIGN.md §15 derives them, and
-  // the batch-identity tests hold them to the walker's own accounting.
-  const net::IpAddr outer_src{config_.device_ip};
-  const net::IpAddr x86_hop{config_.x86_next_hop};
-  for (std::size_t k = 0; k < m; ++k) {
-    CachedWalk walk;  // delta_set stays kNoDeltaSet: nothing to replay
-    if (!b.alive[k]) {
-      // Pre-rewrite drops never touch the packet. A folded peer-loop drop
-      // dies in the loopback egress: it crossed once (the 1-bit shard
-      // field) and completed one pass; entry/ACL drops die in ingress.
-      walk.dropped = true;
-      walk.drop_code = b.drop_code[k];
-      const bool peer_loop =
-          b.drop_code[k] ==
-          static_cast<std::uint8_t>(dataplane::DropReason::kPeerResolutionLoop);
-      walk.passes = (fold && peer_loop) ? 1 : 0;
-      walk.bridged_bits = (fold && peer_loop) ? 1 : 0;
-      ++n_drops;
-      b.walk[b.pend[k]] = walk;
-      continue;
-    }
-    ++eg[b.exit_pipe[k]];  // the walker bumps it before the rewrite stage
-    const auto scope = static_cast<tables::RouteScope>(b.scope[k]);
-    const bool tunnel = b.fallback[k] == 0 &&
-                        (scope == tables::RouteScope::kIdc ||
-                         scope == tables::RouteScope::kCrossRegion);
-    walk.passes = fold ? 2 : 1;
-    walk.set_outer_src = true;
-    walk.outer_src = outer_src;
-    unsigned bridged = 0;
-    if (b.fallback[k] == 1) {
-      // Route stage steered to x86: fallback1+resolved24 crossed twice
-      // (folded) or once with the shard bit (unfolded).
-      bridged = fold ? 51u : 26u;
-      walk.act = static_cast<std::uint8_t>(kActFallback);
-      walk.outer_dst = x86_hop;
-    } else if (tunnel) {
-      // scope3+fallback1+resolved24+tunnel32, twice; +shard1 at entry.
-      bridged = fold ? 121u : 61u;
-      walk.act = static_cast<std::uint8_t>(kActTunnel);
-      walk.outer_dst = net::IpAddr(net::Ipv4Addr(b.tunnel_ip[k]));
-    } else if (b.fallback[k] == 2) {
-      // VM miss re-raises fallback: scope3+fallback1+resolved24, twice.
-      bridged = fold ? 57u : 29u;
-      walk.act = static_cast<std::uint8_t>(kActFallback);
-      walk.outer_dst = x86_hop;
-    } else if (b.has_nc[k]) {
-      // Local delivery: +nc32 on the final crossing.
-      bridged = fold ? 89u : 61u;
-      walk.act = static_cast<std::uint8_t>(kActForward);
-      walk.outer_dst = net::IpAddr(net::Ipv4Addr(b.nc_ip[k]));
-    } else {
-      // Local route, no NC, no fallback: the rewrite stage drops. The
-      // rewrite already wrote outer_src, so that mutation caches.
-      walk.dropped = true;
-      walk.drop_code =
-          static_cast<std::uint8_t>(dataplane::DropReason::kNoNcResolved);
-      walk.bridged_bits = fold ? 57u : 29u;
-      ++n_drops;
-      b.walk[b.pend[k]] = walk;
-      continue;
-    }
-    walk.set_outer_dst = true;
-    walk.egress_pipe = static_cast<std::uint8_t>(b.exit_pipe[k]);
-    walk.bridged_bits = static_cast<std::uint16_t>(bridged);
-    b.walk[b.pend[k]] = walk;
-  }
-
-  ctr_asic_packets_->add(m);
-  for (unsigned pipe = 0; pipe < 4; ++pipe) {
-    if (ing[pipe] != 0) ctr_asic_ingress_[pipe]->add(ing[pipe]);
-    if (eg[pipe] != 0) ctr_asic_egress_[pipe]->add(eg[pipe]);
-  }
-  if (n_drops != 0) ctr_asic_drops_->add(n_drops);
-  if (n_route_hit != 0) ctr_route_hit_->add(n_route_hit);
-  if (n_route_miss != 0) ctr_route_miss_->add(n_route_miss);
-  if (n_vm_hit != 0) ctr_vm_hit_->add(n_vm_hit);
-  if (n_vm_miss != 0) ctr_vm_miss_->add(n_vm_miss);
-  if (n_acl_deny != 0) ctr_acl_deny_->add(n_acl_deny);
-
   b.pend.clear();
 }
 

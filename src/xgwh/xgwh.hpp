@@ -10,6 +10,12 @@
 // Unfolded mode runs the whole program in one pass on every pipeline with
 // fully replicated tables (4x memory, 2x throughput, half the latency).
 //
+// The program is defined once, as the column-major SoA sweep in
+// flush_soa_walk(): every walk, scalar or batched, goes through it. The
+// chip facts of each walk path (passes, bridged metadata bits, the pipes
+// whose gresses it enters) are derived from the metadata field widths and
+// the fold/unfold layout at construction.
+//
 // The gateway exposes a controller-facing table API and a data-plane
 // process() call; occupancy reports come from the placer fed with *live*
 // table statistics (measured ALPM partitions, measured digest conflicts).
@@ -27,9 +33,7 @@
 #include <vector>
 
 #include "asic/chip_config.hpp"
-#include "asic/pipeline.hpp"
 #include "asic/placer.hpp"
-#include "asic/walker.hpp"
 #include "dataplane/flow_cache.hpp"
 #include "dataplane/gateway.hpp"
 #include "dataplane/table_programmer.hpp"
@@ -120,10 +124,9 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   // ---- data plane (dataplane::Gateway) ------------------------------------
 
   /// Processes one packet with full chip observables. `now` is the
-  /// simulation clock (seconds), used by the fallback rate limiter;
-  /// `ingress_pipe` defaults to a flow-hash pick among the entry pipes.
-  ForwardResult forward(const net::OverlayPacket& packet, double now = 0,
-                        std::optional<unsigned> ingress_pipe = std::nullopt);
+  /// simulation clock (seconds), used by the fallback rate limiter. The
+  /// entry pipe is a flow-hash pick among the entry pipes.
+  ForwardResult forward(const net::OverlayPacket& packet, double now = 0);
 
   /// Gateway interface: forward() sliced to the unified verdict.
   dataplane::Verdict process(const net::OverlayPacket& packet,
@@ -132,10 +135,10 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   }
 
   /// The SoA batched fast path (DESIGN.md §15): cache probes stay in
-  /// strict packet order (FlowCacheStats byte-exact), non-capture misses
-  /// walk the pipeline as a column-major batch with software-pipelined
-  /// table lookups, and verdicts emit in packet order. Byte-identical to
-  /// looping process() — verdicts, registry snapshots and cache stats.
+  /// strict packet order (FlowCacheStats byte-exact), misses walk the
+  /// pipeline as a column-major batch with software-pipelined table
+  /// lookups, and verdicts emit in packet order. Byte-identical to looping
+  /// process() — verdicts, registry snapshots and cache stats.
   void process_batch(std::span<const net::OverlayPacket> packets, double now,
                      std::span<dataplane::Verdict> out) override;
 
@@ -177,9 +180,10 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   const Telemetry& telemetry() const { return telemetry_; }
 
   /// This device's always-on counter registry: the struct above plus
-  /// per-table hit/miss counts ("xgwh.table.route.hit", ...), the walker's
-  /// per-pipe stage counters ("asic.pipeN.*"), per-loopback-pipe bytes and
-  /// a forwarding-latency histogram. Fleet views merge these snapshots.
+  /// per-table hit/miss counts ("xgwh.table.route.hit", ...), per-pipe
+  /// gress counters ("asic.pipeN.*"), per-loopback-pipe bytes and
+  /// pass-count and forwarding-latency histograms. Fleet views merge these
+  /// snapshots.
   telemetry::Registry& registry() { return *registry_; }
   const telemetry::Registry& registry() const { return *registry_; }
 
@@ -214,35 +218,46 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     std::size_t maps_v6 = 0;
   };
 
-  struct CounterDelta {
-    telemetry::Counter* counter = nullptr;
-    std::uint64_t delta = 0;
+  /// Where a walk of the gateway program ends. With the pipes it used, a
+  /// walk's path fixes its verdict, its chip facts (PathFacts) and every
+  /// counter it bumps (count_walk()). Drop paths come first.
+  enum class WalkPath : std::uint8_t {
+    kInvalidVni,  // entry stage drop
+    kAclDeny,     // entry stage drop
+    kPeerLoop,    // route stage drop: the peer hop budget ran out
+    kRouteMiss,   // route stage steers to XGW-x86
+    kInternet,    // route stage steers to XGW-x86 (SNAT there, Fig. 11)
+    kTunnel,      // IDC / cross-region: outer DIP = the remote endpoint
+    kVmMiss,      // VM-NC stage steers to XGW-x86
+    kLocal,       // VM-NC hit: outer DIP = the NC
   };
+  static constexpr std::size_t kWalkPaths = 8;
 
-  /// The per-flow summary the cache replays in place of a pipeline walk:
-  /// the walk's verdict inputs, the packet mutation (outer header
-  /// rewrite), and the exact per-counter deltas the walk produced so a
-  /// replayed hit leaves the telemetry registry byte-identical to a walk.
-  ///
-  /// The deltas live in a shared flyweight table (`delta_sets_`), not in
-  /// the entry: distinct walks produce only a handful of distinct delta
-  /// patterns (path x pipes x passes), so interning keeps the cache entry
-  /// at ~2 cache lines and every hit replays a vector that stays hot.
+  /// What one walk took: the flow cache's per-flow entry. A hit goes
+  /// through the same finish_into()/count_walk() code as a fresh walk, so
+  /// neither verdicts nor the registry can tell the two apart.
   struct CachedWalk {
-    static constexpr std::uint32_t kNoDeltaSet = 0xFFFFFFFF;
-
-    bool dropped = false;
-    std::uint8_t drop_code = 0;
-    std::uint8_t act = 0;  // kAction metadata (valid when !dropped)
-    bool set_outer_src = false;
-    bool set_outer_dst = false;
-    std::uint8_t passes = 0;
-    std::uint8_t egress_pipe = 0;
-    std::uint16_t bridged_bits = 0;
-    std::uint32_t delta_set = kNoDeltaSet;  // index into delta_sets_
-    net::IpAddr outer_src;
-    net::IpAddr outer_dst;
+    WalkPath path = WalkPath::kInvalidVni;
+    std::uint8_t route_lookups = 0;  // peer hops + the final lookup
+    std::uint8_t entry_pipe = 0;
+    /// Folded: the exit pipe paired with the VNI shard's loopback pipe,
+    /// which is exit_pipe | 1. Unfolded: the entry pipe.
+    std::uint8_t exit_pipe = 0;
+    net::IpAddr outer_dst;  // NC, tunnel endpoint or XGW-x86; unset on drops
   };
+
+  /// Chip facts of one walk path under this device's layout, derived at
+  /// construction (path_facts() in xgwh.cpp).
+  struct PathFacts {
+    std::uint8_t passes = 0;
+    std::uint16_t bridged_bits = 0;
+    /// Pipe roles (bit 0 entry, 1 loopback, 2 exit) whose ingress / egress
+    /// gress the walk enters.
+    std::uint8_t ingress_roles = 0;
+    std::uint8_t egress_roles = 0;
+  };
+  static std::array<PathFacts, kWalkPaths> path_facts(
+      const asic::ChipConfig& chip, bool fold);
 
   /// Shard index (0/1) for a VNI — parity split (§4.4).
   unsigned shard_of(net::Vni vni) const;
@@ -270,29 +285,16 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     return (global_gen_ << 32) | (local & 0xFFFFFFFFu);
   }
 
-  void build_program();
+  /// The one counter rule: bumps the registry counters for what `walk`
+  /// took, for walked and replayed packets alike.
+  void count_walk(const CachedWalk& walk);
 
-  // Stage implementations (bound into the PipelineProgram).
-  void stage_entry(asic::PacketContext& ctx);
-  void stage_acl(asic::PacketContext& ctx);
-  void stage_route_lookup(asic::PacketContext& ctx, unsigned shard);
-  void stage_vm_nc_lookup(asic::PacketContext& ctx, unsigned shard);
-  void stage_rewrite(asic::PacketContext& ctx);
-
-  // Fast-path plumbing.
-  void snapshot_walk_counters();
-  CachedWalk summarize_walk(const asic::PacketContext& ctx,
-                            const asic::WalkSummary& walked,
-                            bool capture_deltas);
-  std::uint32_t intern_delta_set(const std::vector<CounterDelta>& deltas);
-  ForwardResult finish(const net::OverlayPacket& packet, double now,
-                       const CachedWalk& walk, bool replayed);
-  /// finish() body writing straight into the caller's verdict slot — the
-  /// batch path emits without the intermediate ForwardResult copy. Every
-  /// Verdict field of `dest` is assigned; `extras`, when given, receives
-  /// the ForwardResult-only fields.
+  /// Emits the verdict of `walk` straight into the caller's slot (the
+  /// batch path emits without an intermediate ForwardResult copy) and
+  /// counts the walk. Every Verdict field of `dest` is assigned;
+  /// `extras`, when given, receives the ForwardResult-only fields.
   void finish_into(dataplane::Verdict& dest, const net::OverlayPacket& packet,
-                   double now, const CachedWalk& walk, bool replayed,
+                   double now, const CachedWalk& walk,
                    ForwardResult* extras = nullptr);
 
   /// Entry-pipe pick from the flow hash (the scalar path and the batch
@@ -303,8 +305,9 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
                : static_cast<unsigned>(flow_hash & 3);
   }
 
-  /// Walks the deferred (non-capture-miss) packets of the current burst as
-  /// a column-major SoA batch and fills their CachedWalk summaries.
+  /// The gateway program: walks the pending positions of the current
+  /// burst (`batch_.pend`) as a column-major SoA batch and fills their
+  /// CachedWalk entries.
   void flush_soa_walk(std::span<const net::OverlayPacket> packets,
                       std::span<const std::uint32_t> indices);
 
@@ -318,40 +321,25 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     std::vector<dataplane::FlowKey> key;
     std::vector<std::uint64_t> gen;
     std::vector<CachedWalk> walk;
-    std::vector<std::uint8_t> replayed;
     std::vector<std::uint64_t> hash;  // position-indexed flow hashes
     std::vector<std::uint32_t> idx;   // identity list for contiguous calls
-    /// Burst positions whose walk is deferred to the SoA sweep (cache
-    /// misses that do NOT capture — or every packet when the cache is
-    /// off).
+    /// Burst positions whose walk is pending for the SoA sweep (cache
+    /// misses, or every packet when the cache is off).
     std::vector<std::uint32_t> pend;
 
     // SoA walk columns, indexed by position in `pend`.
-    std::vector<net::Vni> vni;
-    std::vector<unsigned> entry_pipe;
-    std::vector<unsigned> lb_pipe;
-    std::vector<unsigned> exit_pipe;
-    std::vector<std::uint8_t> alive;
-    std::vector<std::uint8_t> drop_code;
-    std::vector<std::uint8_t> scope;  // tables::RouteScope of the route hit
-    std::vector<std::uint8_t> fallback;
-    std::vector<std::uint8_t> has_nc;
-    std::vector<std::uint32_t> tunnel_ip;
-    std::vector<std::uint32_t> nc_ip;
+    std::vector<net::Vni> vni;            // VNI of the current route hop
     std::vector<tables::TcamKey> rkey;    // pooled route key per hop
     std::vector<std::uint32_t> rpart;     // prepared ALPM partition
     std::vector<std::uint32_t> work;      // current sweep's worklist
     std::vector<std::uint32_t> next_work;
+    std::vector<std::uint32_t> local;     // local-scope hits for VM-NC
     // Per-pipeline-shard gather lists for the batched directory sweep:
     // the route stage groups the worklist by shard so each shard's ALPM
     // sees one contiguous key span to software-pipeline.
     std::vector<tables::TcamKey> shard_keys[2];
     std::vector<std::uint32_t> shard_pos[2];
     std::vector<std::uint32_t> shard_part[2];
-
-    /// Reused walk state for capture misses and the scalar forward() path
-    /// (borrowed-walker API; the Phv allocation amortizes across packets).
-    asic::PacketContext walk_ctx;
   };
   BatchScratch batch_;
 
@@ -361,17 +349,7 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   tables::MeterTable fallback_meter_;
   std::size_t fallback_meter_index_ = 0;
 
-  asic::PipelineProgram program_;
-  std::unique_ptr<asic::Walker> walker_;
-
-  // Compiled PHV field handles (interned once in build_program()).
-  asic::FieldId fid_shard_ = asic::kInvalidFieldId;
-  asic::FieldId fid_scope_ = asic::kInvalidFieldId;
-  asic::FieldId fid_fallback_ = asic::kInvalidFieldId;
-  asic::FieldId fid_resolved_vni_ = asic::kInvalidFieldId;
-  asic::FieldId fid_tunnel_ip_ = asic::kInvalidFieldId;
-  asic::FieldId fid_nc_ip_ = asic::kInvalidFieldId;
-  asic::FieldId fid_action_ = asic::kInvalidFieldId;
+  std::array<PathFacts, kWalkPaths> path_facts_;
 
   // Flow-cache fast path (single-writer; one cache per device/shard).
   // Invalidation is per-VNI: entries carry the composite generation of
@@ -382,13 +360,6 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   std::uint64_t global_gen_ = 0;  // all-VNI invalidation generation
   std::unordered_map<net::Vni, std::uint64_t> vni_gens_;
   std::unordered_set<net::Vni> peered_vnis_;
-  std::vector<telemetry::Counter*> tracked_counters_;
-  std::vector<std::uint64_t> walk_baseline_;
-  std::vector<CounterDelta> scratch_deltas_;  // miss-side staging buffer
-  /// Interned walk-delta patterns (flyweight; counter pointers are stable
-  /// for the registry's lifetime, so sets never invalidate).
-  std::vector<std::vector<CounterDelta>> delta_sets_;
-  std::unordered_map<std::uint64_t, std::uint32_t> delta_set_index_;
 
   std::array<std::uint64_t, 4> shard_pipe_bytes_{};
   Telemetry telemetry_;
@@ -408,9 +379,7 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   telemetry::Counter* ctr_acl_deny_ = nullptr;
   std::array<telemetry::Counter*, 4> ctr_pipe_bytes_{};
   telemetry::Histogram* hist_latency_ = nullptr;
-  telemetry::Histogram* hist_passes_ = nullptr;  // walker's, for hit replay
-  // Walker-owned counters the SoA batch walk bumps in bulk (resolved by
-  // name after walker_->set_registry; no new registrations).
+  telemetry::Histogram* hist_passes_ = nullptr;
   telemetry::Counter* ctr_asic_packets_ = nullptr;
   telemetry::Counter* ctr_asic_drops_ = nullptr;
   std::array<telemetry::Counter*, 4> ctr_asic_ingress_{};

@@ -1,10 +1,6 @@
-// Fast-path micro-contracts, checked with real instrumentation rather
-// than inspection:
-//
-//   * a warmed cache hit performs ZERO heap allocations end to end
-//     (counting global operator new/delete overrides below);
-//   * the packet path performs no string-keyed PHV lookups at all — the
-//     compiled FieldId handles carry every stage (Phv::string_lookups()).
+// Fast-path micro-contract, checked with real instrumentation rather
+// than inspection: a warmed cache hit performs ZERO heap allocations end
+// to end (counting global operator new/delete overrides below).
 //
 // This lives in its own binary because the operator new/delete overrides
 // are global: they must not contaminate the other test suites.
@@ -15,7 +11,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "asic/phv.hpp"
 #include "x86/xgw_x86.hpp"
 #include "xgwh/xgwh.hpp"
 
@@ -101,38 +96,6 @@ TEST(FastPath, XgwX86CacheHitMakesZeroHeapAllocations) {
   for (int i = 0; i < 100; ++i) gw.forward(pkt, 2.0 + i * 1e-6);
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
-}
-
-TEST(FastPath, NoStringKeyedPhvLookupsOnThePacketPath) {
-  // Misses walk the full pipeline; hits replay. NEITHER may fall back to
-  // string-keyed PHV access — every stage runs on interned FieldIds.
-  xgwh::XgwH::Config config;
-  config.flow_cache_entries = 1 << 10;
-  xgwh::XgwH gw(config);
-  install_tables(gw);
-
-  const std::uint64_t before = asic::Phv::string_lookups();
-  for (int i = 0; i < 200; ++i) {
-    // Rotate ports: a mix of cold flows (walks) and repeats (hits).
-    gw.forward(sample_packet(static_cast<std::uint16_t>(40000 + i % 8)),
-               i * 1e-6);
-  }
-  EXPECT_EQ(asic::Phv::string_lookups(), before)
-      << "a stage regressed to Phv string access on the packet path";
-}
-
-TEST(FastPath, FrozenLayoutRejectsRuntimeInterning) {
-  // The program's layout freezes at build time: a typo'd field name in a
-  // stage must fail loudly instead of silently interning a new slot.
-  auto shared = std::make_shared<asic::PhvLayout>();
-  shared->intern("known");
-  shared->freeze();
-  EXPECT_TRUE(shared->frozen());
-  EXPECT_THROW(shared->intern("late"), std::logic_error);
-  asic::Phv phv(256, shared);
-  EXPECT_THROW(phv.set("unknown", 1, 8), std::logic_error);
-  phv.set("known", 5, 8);
-  EXPECT_EQ(phv.get("known"), 5u);
 }
 
 }  // namespace

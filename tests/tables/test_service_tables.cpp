@@ -106,23 +106,5 @@ TEST(MeterTable, OutOfRangeThrows) {
   EXPECT_THROW(meters.offer(0, 1, 0.0), std::out_of_range);
 }
 
-TEST(CounterTable, AccumulatesPacketsAndBytes) {
-  CounterTable counters;
-  const std::size_t index = counters.add();
-  counters.count(index, 1500);
-  counters.count(index, 64, 2);
-  EXPECT_EQ(counters.at(index).packets, 3u);
-  EXPECT_EQ(counters.at(index).bytes, 1564u);
-}
-
-TEST(CounterTable, IndependentIndices) {
-  CounterTable counters;
-  const std::size_t a = counters.add();
-  const std::size_t b = counters.add();
-  counters.count(a, 100);
-  EXPECT_EQ(counters.at(b).packets, 0u);
-  EXPECT_EQ(counters.at(a).bytes, 100u);
-}
-
 }  // namespace
 }  // namespace sf::tables

@@ -259,5 +259,15 @@ TEST(XgwH, RejectsNonFourPipeChip) {
   EXPECT_THROW(XgwH{config}, std::invalid_argument);
 }
 
+TEST(XgwH, GatewayProgramMustFitThePhvBudget) {
+  // The widest walk (local forward or tunnel) carries shard 1 + scope 3 +
+  // fallback 1 + resolved VNI 24 + NC or tunnel IP 32 + action 2 bits.
+  XgwH::Config config;
+  config.chip.phv_metadata_bits = 63;
+  EXPECT_NO_THROW(XgwH{config});
+  config.chip.phv_metadata_bits = 62;
+  EXPECT_THROW(XgwH{config}, std::length_error);
+}
+
 }  // namespace
 }  // namespace sf::xgwh
