@@ -230,11 +230,11 @@ std::string fleet_report(const Fleet& fleet) {
                   s, static_cast<unsigned long long>(node.table_version()),
                   node.route_count(), node.mapping_count(),
                   static_cast<unsigned long long>(
-                      node.telemetry().packets_in),
+                      node.registry().counter_value("x86.packets_in")),
                   static_cast<unsigned long long>(
-                      node.telemetry().packets_forwarded),
+                      node.registry().counter_value("x86.packets_forwarded")),
                   static_cast<unsigned long long>(
-                      node.telemetry().packets_dropped));
+                      node.registry().counter_value("x86.packets_dropped")));
     report += line;
   }
   return report;

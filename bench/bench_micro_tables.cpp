@@ -10,7 +10,6 @@
 #include "net/packet.hpp"
 #include "tables/alpm.hpp"
 #include "tables/digest_table.hpp"
-#include "tables/lpm_trie.hpp"
 #include "tables/route_table.hpp"
 #include "workload/rng.hpp"
 #include "x86/rss.hpp"
@@ -45,20 +44,6 @@ std::vector<std::pair<net::Vni, net::IpAddr>> probes(std::size_t count) {
   }
   return out;
 }
-
-void BM_LpmTrieLookup(benchmark::State& state) {
-  tables::LpmTrie<std::uint32_t> trie;
-  trie.reserve(kRoutes);
-  workload::Rng rng(1);
-  fill_routes(trie, rng);
-  const auto keys = probes(1024);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [vni, ip] = keys[i++ & 1023];
-    benchmark::DoNotOptimize(trie.lookup(vni, ip));
-  }
-}
-BENCHMARK(BM_LpmTrieLookup);
 
 void BM_SoftwareLpmLookup(benchmark::State& state) {
   tables::SoftwareLpm<std::uint32_t> lpm;

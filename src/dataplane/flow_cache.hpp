@@ -188,26 +188,27 @@ class FlowCache {
   }
 
   /// Inserts (or overwrites) `key`. Prefers the key's own slot, then an
-  /// empty or stale slot in the probe window, else deterministically
-  /// evicts the window's first slot.
+  /// empty slot in the probe window, else deterministically evicts the
+  /// window's first slot. Another key's slot is never taken just because
+  /// its generation differs: generations are per owner-chosen scope (one
+  /// per VNI in the gateways), so a different generation is not a stale
+  /// entry — it may be another tenant's live one.
   void insert(const FlowKey& key, std::uint64_t generation, Value value) {
     if (capacity_ == 0) return;
     if (table_.empty()) table_.resize(capacity_);  // lazy: idle caches cost 0
     const std::size_t home = static_cast<std::size_t>(key.hi) & mask_;
     std::size_t victim = home;
-    bool found_victim = false;
+    bool found_empty = false;
     std::size_t slot = home;
     for (std::size_t probe = 0; probe < config_.max_probes; ++probe) {
       Entry& entry = table_[slot];
       if (entry.occupied && entry.key == key) {
         victim = slot;
-        found_victim = true;
         break;
       }
-      if (!found_victim &&
-          (!entry.occupied || entry.generation != generation)) {
+      if (!entry.occupied && !found_empty) {
         victim = slot;
-        found_victim = true;
+        found_empty = true;
         // Keep scanning: an existing slot for `key` still wins.
       }
       slot = (slot + 1) & mask_;

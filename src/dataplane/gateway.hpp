@@ -1,11 +1,13 @@
 // The common packet-processing interface: one packet or a batch.
 //
-// The batch form is the API the region engine and the benches feed;
-// `std::span` keeps callers free to batch from any contiguous storage. The
-// default implementation walks the batch through process() in order, so an
-// implementation that does nothing special is automatically equivalent to
-// the single-packet path — verdicts and telemetry included (the batch
-// equivalence tests hold every implementation to that).
+// The batch forms are the API the region engine and the benches feed;
+// `std::span` keeps callers free to batch from any contiguous storage.
+// process_batch_indexed is the one batch form a gateway overrides: the
+// contiguous forms feed it an identity index list, and its default walks
+// the batch through process() in order, so an implementation that does
+// nothing special is automatically equivalent to the single-packet path —
+// verdicts and telemetry included (the batch equivalence tests hold every
+// implementation to that).
 
 #pragma once
 
@@ -26,8 +28,8 @@ class Gateway {
   virtual Verdict process(const net::OverlayPacket& packet, double now) = 0;
 
   /// Batch form: writes packets.size() verdicts into `out` (which must be
-  /// at least that large). Implementations must keep verdicts and
-  /// telemetry identical to looping process().
+  /// at least that large) through process_batch_indexed. Verdicts and
+  /// telemetry stay identical to looping process().
   virtual void process_batch(std::span<const net::OverlayPacket> packets,
                              double now, std::span<Verdict> out);
 
@@ -35,8 +37,8 @@ class Gateway {
   /// `packets[i].inner.hash()` — the sharded engine computes the RSS hash
   /// once per packet to pick a shard and passes it down, so batch-aware
   /// gateways derive their flow-cache keys and pipe steering from it
-  /// without rehashing. The default ignores the hashes and defers to the
-  /// 3-arg overload, so plain gateways stay correct automatically.
+  /// without rehashing. Like the 3-arg form, it calls
+  /// process_batch_indexed, which plain gateways may leave as the default.
   virtual void process_batch(std::span<const net::OverlayPacket> packets,
                              std::span<const std::uint64_t> flow_hashes,
                              double now, std::span<Verdict> out);

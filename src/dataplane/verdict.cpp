@@ -26,8 +26,6 @@ const char* name(DropReason reason) {
   switch (reason) {
     case DropReason::kNone:
       return "none";
-    case DropReason::kPipelineFault:
-      return "pipeline fault";
     case DropReason::kInvalidVni:
       return "invalid VNI";
     case DropReason::kAclDeny:
@@ -36,8 +34,6 @@ const char* name(DropReason reason) {
       return "no route";
     case DropReason::kNoVmNcMapping:
       return "no VM-NC mapping";
-    case DropReason::kNoNcResolved:
-      return "no NC resolved for local scope";
     case DropReason::kPeerResolutionLoop:
       return "peer VNI resolution loop";
     case DropReason::kSnatPoolExhausted:

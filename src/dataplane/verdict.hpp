@@ -37,12 +37,10 @@ std::string to_string(Action action);
 /// whose action is kDrop carries a reason other than kNone.
 enum class DropReason : std::uint8_t {
   kNone = 0,
-  kPipelineFault,        // no gateway emits it (values stay stable)
   kInvalidVni,
   kAclDeny,
   kNoRoute,
   kNoVmNcMapping,
-  kNoNcResolved,         // no gateway emits it (values stay stable)
   kPeerResolutionLoop,
   kSnatPoolExhausted,
   kFallbackRateLimited,

@@ -11,13 +11,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
-
-#include <memory>
 
 #include "dataplane/flow_cache.hpp"
 #include "dataplane/gateway.hpp"
@@ -95,8 +94,6 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
   /// this on reroutes). Internally a versioned bump of the global cache
   /// generation; table ops instead bump only the mutated VNI's generation.
   void invalidate_fast_path();
-  /// Monotone table version; grows with every mutation.
-  std::uint64_t fast_path_generation() const { return seq_; }
   const dataplane::FlowCacheStats& flow_cache_stats() const {
     return flow_cache_.stats();
   }
@@ -106,8 +103,8 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
 
   /// Forwarding reads the tables at this version; nullopt (default) reads
   /// the latest published version. The deterministic mid-interval replay
-  /// sets it per packet to the packet's required version; values must be
-  /// nondecreasing. Callable from the forwarding thread while the mutator
+  /// sets it between bursts to the burst's required version; values must
+  /// be nondecreasing. Callable from the forwarding thread while the mutator
   /// thread applies batches.
   void set_lookup_seq(std::optional<std::uint64_t> seq) {
     lookup_seq_.store(seq.value_or(kLookupLatest),
@@ -119,29 +116,25 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
   /// automatically every few hundred mutations.
   void collect_garbage(std::uint64_t keep_from);
 
-  /// Dead-but-unreclaimed nodes across the route/mapping tables (tests).
-  std::size_t limbo_nodes() const {
-    return routes_.limbo_size() + mappings_.limbo_size() +
-           vni_gens_.limbo_size();
-  }
-
   std::size_t route_count() const { return routes_.live_size(); }
   std::size_t mapping_count() const { return mappings_.live_size(); }
 
   /// Seconds the controller needs to install this node's current tables
   /// from scratch — the ">10 minutes" pain of §2.3.
-  double full_install_seconds() const;
+  double full_install_seconds() const {
+    return config_.model.table_install_seconds(route_count() +
+                                               mapping_count());
+  }
 
   // ---- functional data path (dataplane::Gateway) --------------------------
 
-  /// Processes one packet with the SNAT-binding extra.
+  /// Processes one packet with the SNAT-binding extra: a burst of one
+  /// through the packet path below.
   X86Result forward(const net::OverlayPacket& packet, double now = 0);
 
-  /// Punt-path entry: identical to forward() except the verdict is never
-  /// admitted to this node's flow cache. Meter-degraded punts are
-  /// transient overload spillover, not steady-state flows — caching them
-  /// would let a shed tenant's packets evict legitimate fast-path entries
-  /// (and the guard tests assert they never land in any cache).
+  /// Punt-path entry: forward() without probing or filling the flow
+  /// cache. Meter-degraded punts are transient overload spillover; caching
+  /// them would let a shed tenant's packets evict legitimate entries.
   X86Result forward_punted(const net::OverlayPacket& packet, double now = 0);
 
   /// Gateway interface: forward() sliced to the unified verdict.
@@ -150,24 +143,18 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
     return forward(packet, now);
   }
 
-  /// Hash-threaded batch form: derives each packet's flow-cache key from
-  /// the precomputed RSS hash (`flow_hashes[i] == packets[i].inner.hash()`)
-  /// and prefetches cache slots a few packets ahead. Byte-identical to
-  /// looping process().
-  void process_batch(std::span<const net::OverlayPacket> packets,
-                     std::span<const std::uint64_t> flow_hashes, double now,
-                     std::span<dataplane::Verdict> out) override;
-
-  /// Index-list form the sharded engine feeds: same per-packet loop,
-  /// striding the shared index list with packet/verdict/cache-slot
-  /// lookahead. `flow_hashes` may be empty (tuples are then rehashed).
+  /// The software gateway's one packet path. It pins the table version
+  /// once per call (the sharded engine splits bursts at every visibility
+  /// boundary), then runs each packet through cache probe -> route chain
+  /// -> mapping or SNAT -> cache fill. `flow_hashes` may be empty (tuples
+  /// are then rehashed).
   void process_batch_indexed(std::span<const net::OverlayPacket> packets,
                              std::span<const std::uint64_t> flow_hashes,
                              std::span<const std::uint32_t> indices,
                              double now,
                              std::span<dataplane::Verdict> out) override;
 
-  using dataplane::Gateway::process_batch;  // 3-arg + allocating forms
+  using dataplane::Gateway::process_batch;  // contiguous forms
 
   /// Internet response path: a packet addressed to a SNAT binding is
   /// translated back and re-encapsulated toward the VM's NC.
@@ -185,14 +172,6 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
   IntervalReport simulate_interval(std::span<const FlowRate> flows) const;
 
   const Config& config() const { return config_; }
-
-  struct Telemetry {
-    std::uint64_t packets_in = 0;
-    std::uint64_t packets_forwarded = 0;
-    std::uint64_t packets_snat = 0;
-    std::uint64_t packets_dropped = 0;
-  };
-  const Telemetry& telemetry() const { return telemetry_; }
 
   /// This node's counter registry: packet/byte outcomes, table ops, SNAT
   /// session events and a latency histogram ("x86.*" names).
@@ -215,12 +194,19 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
     net::IpAddr outer_dst;
   };
 
-  /// `flow_hash`, when non-null, is the packet's precomputed tuple hash —
-  /// the cache key derives from it instead of rehashing the 5-tuple
-  /// (dataplane::make_flow_key guarantees both derivations agree).
-  X86Result forward_impl(const net::OverlayPacket& packet, double now,
-                         bool allow_cache,
-                         const std::uint64_t* flow_hash = nullptr);
+  /// process_batch_indexed plus the scalar entries' knobs: punts pass
+  /// `allow_cache == false`; a non-null `snat` gets a translation's binding.
+  void forward_burst(std::span<const net::OverlayPacket> packets,
+                     std::span<const std::uint64_t> flow_hashes,
+                     std::span<const std::uint32_t> indices, double now,
+                     bool allow_cache, std::span<dataplane::Verdict> out,
+                     std::optional<SnatBinding>* snat);
+  /// The stateless outcome of `packet` at pinned version `seq`: route
+  /// chain, then mapping or tunnel. An internet route resolves to
+  /// kSnatToInternet toward the inner destination (decapped); the caller
+  /// translates the source through the SNAT engine.
+  CachedVerdict resolve(const net::OverlayPacket& packet,
+                        std::uint64_t seq) const;
 
   // Mutator-side helpers (see apply()).
   dataplane::TableOpStatus apply_one(const dataplane::TableOp& op);
@@ -260,7 +246,6 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
   std::atomic<std::uint64_t> lookup_seq_{kLookupLatest};
   SnatEngine snat_;
   RssIndirection rss_;
-  Telemetry telemetry_;
 
   dataplane::FlowCache<CachedVerdict> flow_cache_;
 

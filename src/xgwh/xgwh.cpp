@@ -406,13 +406,11 @@ void XgwH::finish_into(dataplane::Verdict& dest,
     const unsigned loopback_pipe = 1 + 2 * shard;
     if (extras != nullptr) extras->shard_pipe = loopback_pipe;
     if (!dropped) {
-      shard_pipe_bytes_[loopback_pipe] += packet.wire_size();
       ctr_pipe_bytes_[loopback_pipe]->add(packet.wire_size());
     }
   }
 
   if (dropped) {
-    ++telemetry_.packets_dropped;
     ctr_dropped_->add();
     dest.action = dataplane::Action::kDrop;
     dest.drop_reason = kDropReason[static_cast<std::size_t>(walk.path)];
@@ -426,20 +424,16 @@ void XgwH::finish_into(dataplane::Verdict& dest,
     if (fallback_meter_.offer(fallback_meter_index_,
                               static_cast<double>(packet.wire_size()),
                               now) == tables::MeterColor::kRed) {
-      ++telemetry_.fallback_rate_limited;
-      ++telemetry_.packets_dropped;
       ctr_rate_limited_->add();
       ctr_dropped_->add();
       dest.action = dataplane::Action::kDrop;
       dest.drop_reason = dataplane::DropReason::kFallbackRateLimited;
       return;
     }
-    ++telemetry_.packets_fallback;
     ctr_fallback_->add();
     dest.action = dataplane::Action::kFallbackToX86;
     return;
   }
-  ++telemetry_.packets_forwarded;
   ctr_forwarded_->add();
   dest.action = walk.path == WalkPath::kTunnel
                     ? dataplane::Action::kForwardTunnel
@@ -447,8 +441,6 @@ void XgwH::finish_into(dataplane::Verdict& dest,
 }
 
 ForwardResult XgwH::forward(const net::OverlayPacket& packet, double now) {
-  ++telemetry_.packets_in;
-  telemetry_.bytes_in += packet.wire_size();
   ctr_packets_in_->add();
   ctr_bytes_in_->add(packet.wire_size());
 
@@ -482,37 +474,6 @@ ForwardResult XgwH::forward(const net::OverlayPacket& packet, double now) {
   finish_into(result, packet, now, walk, &result);
   if (capture) flow_cache_.insert(key, generation, walk);
   return result;
-}
-
-void XgwH::process_batch(std::span<const net::OverlayPacket> packets,
-                         double now, std::span<dataplane::Verdict> out) {
-  if (out.size() < packets.size()) {
-    throw std::invalid_argument(
-        "process_batch: output span smaller than the batch");
-  }
-  batch_.idx.resize(packets.size());
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    batch_.idx[i] = static_cast<std::uint32_t>(i);
-  }
-  process_batch_indexed(packets, {}, batch_.idx, now, out);
-}
-
-void XgwH::process_batch(std::span<const net::OverlayPacket> packets,
-                         std::span<const std::uint64_t> flow_hashes,
-                         double now, std::span<dataplane::Verdict> out) {
-  if (flow_hashes.size() != packets.size()) {
-    throw std::invalid_argument(
-        "process_batch: flow_hashes.size() must equal packets.size()");
-  }
-  if (out.size() < packets.size()) {
-    throw std::invalid_argument(
-        "process_batch: output span smaller than the batch");
-  }
-  batch_.idx.resize(packets.size());
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    batch_.idx[i] = static_cast<std::uint32_t>(i);
-  }
-  process_batch_indexed(packets, flow_hashes, batch_.idx, now, out);
 }
 
 void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
@@ -560,8 +521,6 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
 
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < n; ++i) bytes += packets[indices[i]].wire_size();
-  telemetry_.packets_in += n;
-  telemetry_.bytes_in += bytes;
   ctr_packets_in_->add(n);
   ctr_bytes_in_->add(bytes);
 

@@ -136,54 +136,27 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
 
   /// The SoA batched fast path (DESIGN.md §15): cache probes stay in
   /// strict packet order (FlowCacheStats byte-exact), misses walk the
-  /// pipeline as a column-major batch with software-pipelined table
-  /// lookups, and verdicts emit in packet order. Byte-identical to looping
-  /// process() — verdicts, registry snapshots and cache stats.
-  void process_batch(std::span<const net::OverlayPacket> packets, double now,
-                     std::span<dataplane::Verdict> out) override;
-
-  /// Hash-threaded form: `flow_hashes[i]` must equal
-  /// `packets[i].inner.hash()` (the sharded engine's shard-steering hash).
-  /// Skips the per-packet tuple rehash for entry-pipe and cache-key
-  /// derivation.
-  void process_batch(std::span<const net::OverlayPacket> packets,
-                     std::span<const std::uint64_t> flow_hashes, double now,
-                     std::span<dataplane::Verdict> out) override;
-
-  /// The real batched fast path: the sharded engine hands each shard
-  /// sub-spans of one shared index list, so packets and verdicts are
-  /// never gathered/scattered through per-burst copies. `flow_hashes` may
-  /// be empty (hashes are then computed here, once per packet).
+  /// pipeline as a column-major batch, and verdicts emit in packet order —
+  /// byte-identical to looping process(). The sharded engine hands each
+  /// shard sub-spans of one shared index list, so packets and verdicts
+  /// are never copied per burst. `flow_hashes` may be empty (hashes are
+  /// then computed here, once per packet).
   void process_batch_indexed(std::span<const net::OverlayPacket> packets,
                              std::span<const std::uint64_t> flow_hashes,
                              std::span<const std::uint32_t> indices,
                              double now,
                              std::span<dataplane::Verdict> out) override;
 
-  using dataplane::Gateway::process_batch;  // allocating convenience form
+  using dataplane::Gateway::process_batch;  // contiguous forms
 
   // ---- telemetry ----------------------------------------------------------
 
-  /// Bytes that crossed each loopback egress pipe (index = pipe).
-  const std::array<std::uint64_t, 4>& shard_pipe_bytes() const {
-    return shard_pipe_bytes_;
-  }
-
-  struct Telemetry {
-    std::uint64_t packets_in = 0;
-    std::uint64_t packets_forwarded = 0;
-    std::uint64_t packets_fallback = 0;
-    std::uint64_t packets_dropped = 0;
-    std::uint64_t fallback_rate_limited = 0;
-    std::uint64_t bytes_in = 0;
-  };
-  const Telemetry& telemetry() const { return telemetry_; }
-
-  /// This device's always-on counter registry: the struct above plus
-  /// per-table hit/miss counts ("xgwh.table.route.hit", ...), per-pipe
-  /// gress counters ("asic.pipeN.*"), per-loopback-pipe bytes and
-  /// pass-count and forwarding-latency histograms. Fleet views merge these
-  /// snapshots.
+  /// This device's always-on counter registry, the only count of its
+  /// outcomes: packets and bytes in, forwarded/fallback/dropped and
+  /// rate-limited packets, per-table hit/miss counts
+  /// ("xgwh.table.route.hit", ...), per-pipe gress counters
+  /// ("asic.pipeN.*"), per-loopback-pipe bytes and pass-count and
+  /// forwarding-latency histograms. Fleet views merge these snapshots.
   telemetry::Registry& registry() { return *registry_; }
   const telemetry::Registry& registry() const { return *registry_; }
 
@@ -322,7 +295,6 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     std::vector<std::uint64_t> gen;
     std::vector<CachedWalk> walk;
     std::vector<std::uint64_t> hash;  // position-indexed flow hashes
-    std::vector<std::uint32_t> idx;   // identity list for contiguous calls
     /// Burst positions whose walk is pending for the SoA sweep (cache
     /// misses, or every packet when the cache is off).
     std::vector<std::uint32_t> pend;
@@ -360,9 +332,6 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   std::uint64_t global_gen_ = 0;  // all-VNI invalidation generation
   std::unordered_map<net::Vni, std::uint64_t> vni_gens_;
   std::unordered_set<net::Vni> peered_vnis_;
-
-  std::array<std::uint64_t, 4> shard_pipe_bytes_{};
-  Telemetry telemetry_;
 
   // Registry + pre-resolved counter handles (hot-path instruments).
   std::unique_ptr<telemetry::Registry> registry_;

@@ -1,32 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "core/cache_cluster.hpp"
-#include "core/rate_limiter.hpp"
 #include "core/table_sharing.hpp"
 
 namespace sf::core {
 namespace {
-
-TEST(TokenBucket, AllowsBurstThenRate) {
-  TokenBucket bucket(1000.0, 500.0);
-  EXPECT_TRUE(bucket.try_consume(500, 0.0));
-  EXPECT_FALSE(bucket.try_consume(1, 0.0));
-  // 0.1s refills 100 tokens.
-  EXPECT_TRUE(bucket.try_consume(100, 0.1));
-  EXPECT_FALSE(bucket.try_consume(1, 0.1));
-  EXPECT_EQ(bucket.accepted(), 2u);
-  EXPECT_EQ(bucket.rejected(), 2u);
-}
-
-TEST(TokenBucket, BurstCapsIdleAccumulation) {
-  TokenBucket bucket(1000.0, 500.0);
-  EXPECT_NEAR(bucket.available(100.0), 500.0, 1e-9);
-}
-
-TEST(TokenBucket, RejectsBadConfig) {
-  EXPECT_THROW(TokenBucket(0, 1), std::invalid_argument);
-  EXPECT_THROW(TokenBucket(1, 0), std::invalid_argument);
-}
 
 TEST(TableSharing, StatefulTablesGoToSoftware) {
   ServiceProfile snat{"snat", 0.5, 1.0, 1000, true, 900};

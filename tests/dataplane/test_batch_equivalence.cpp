@@ -80,9 +80,12 @@ TEST(BatchEquivalence, XgwH) {
   install_tables(a);
   install_tables(b);
   check_gateway_pair(a, b);
-  EXPECT_EQ(a.telemetry().packets_in, b.telemetry().packets_in);
-  EXPECT_EQ(a.telemetry().packets_forwarded, b.telemetry().packets_forwarded);
-  EXPECT_EQ(a.telemetry().packets_fallback, b.telemetry().packets_fallback);
+  EXPECT_EQ(a.registry().counter_value("xgwh.packets_in"),
+            b.registry().counter_value("xgwh.packets_in"));
+  EXPECT_EQ(a.registry().counter_value("xgwh.packets_forwarded"),
+            b.registry().counter_value("xgwh.packets_forwarded"));
+  EXPECT_EQ(a.registry().counter_value("xgwh.packets_fallback"),
+            b.registry().counter_value("xgwh.packets_fallback"));
 }
 
 TEST(BatchEquivalence, XgwX86) {
@@ -91,8 +94,10 @@ TEST(BatchEquivalence, XgwX86) {
   install_tables(a);
   install_tables(b);
   check_gateway_pair(a, b);
-  EXPECT_EQ(a.telemetry().packets_in, b.telemetry().packets_in);
-  EXPECT_EQ(a.telemetry().packets_dropped, b.telemetry().packets_dropped);
+  EXPECT_EQ(a.registry().counter_value("x86.packets_in"),
+            b.registry().counter_value("x86.packets_in"));
+  EXPECT_EQ(a.registry().counter_value("x86.packets_dropped"),
+            b.registry().counter_value("x86.packets_dropped"));
 }
 
 TEST(BatchEquivalence, Cluster) {

@@ -5,9 +5,12 @@
 // setting (off/on) must reproduce the scalar ground truth — each packet
 // processed one at a time on its hash-picked shard — verdict-for-verdict
 // AND counter-for-counter (full per-device registry snapshots, compared
-// as serialized JSON).
+// as serialized JSON). An XGW-x86 group adds a concurrent mutator: bursts
+// of 1/7/32 with set_lookup_seq moving between them must match a scalar
+// forward() loop on verdicts, registries and flow-cache stats, and punted
+// packets must leave the cache untouched.
 //
-// A second group pins the single-hash contract (the 5-tuple used to be
+// A third group pins the single-hash contract (the 5-tuple used to be
 // hashed two to three times per packet): the engine's precomputed hashes
 // must equal FiveTuple::hash(), agree with the shard steering, and
 // derive the same flow-cache key as the scalar tuple overload.
@@ -16,11 +19,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "dataplane/flow_cache.hpp"
 #include "dataplane/shard_engine.hpp"
+#include "dataplane/table_programmer.hpp"
 #include "net/hash.hpp"
 #include "telemetry/export.hpp"
 #include "x86/xgw_x86.hpp"
@@ -211,6 +216,130 @@ TEST(BatchIdentity, XgwX86Uncached) {
 
 TEST(BatchIdentity, XgwX86Cached) {
   check_batch_identity<x86::XgwX86>(1 << 10);
+}
+
+// ---- XGW-x86 under churn ---------------------------------------------------
+
+/// A deterministic churn stream over the fleet's tenants: VM migrations,
+/// mapping removals, and an odd tenant's internet route coming and going
+/// (so SNAT verdicts appear and vanish mid-stream). Stamped evenly across
+/// the packet stream.
+std::vector<TimedTableOp> make_churn(std::size_t count) {
+  std::vector<TimedTableOp> updates;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint64_t r = net::mix64(0xc4u + k);
+    const auto v = static_cast<std::uint8_t>(r % kVnis);
+    const auto host = static_cast<std::uint8_t>(1 + (r >> 8) % kHosts);
+    TableOp op;
+    op.vni = static_cast<net::Vni>(100 + v);
+    op.mapping_key = {op.vni, IpAddr(net::Ipv4Addr(10, v, 1, host))};
+    switch (k % 3) {
+      case 0:  // live migration toward a fresh NC
+        op.kind = TableOp::Kind::kAddMapping;
+        op.mapping_action = {net::Ipv4Addr(
+            172, static_cast<std::uint8_t>(17 + k % 50), v, host)};
+        break;
+      case 1:
+        op.kind = TableOp::Kind::kDelMapping;
+        break;
+      default:  // an odd tenant's internet route, added then removed
+        op.vni = static_cast<net::Vni>(101 + 2 * ((k / 6) % (kVnis / 2)));
+        op.kind = (k / 3) % 2 == 0 ? TableOp::Kind::kAddRoute
+                                   : TableOp::Kind::kDelRoute;
+        op.prefix = IpPrefix::must_parse("0.0.0.0/0");
+        op.route_action = {RouteScope::kInternet, 0, {}};
+        break;
+    }
+    updates.push_back({op, k * kPackets / count});
+  }
+  return updates;
+}
+
+bool same_stats(const FlowCacheStats& a, const FlowCacheStats& b) {
+  return a.hits == b.hits && a.misses == b.misses &&
+         a.insertions == b.insertions && a.evictions == b.evictions &&
+         a.stale_reclaims == b.stale_reclaims && a.occupied == b.occupied &&
+         a.high_watermark == b.high_watermark;
+}
+
+TEST(BatchIdentity, XgwX86BurstsUnderChurnMatchTheScalarLoop) {
+  // The XGW-x86 packet loop pins one table version per call. Under a
+  // concurrent mutator, the engine moves set_lookup_seq between bursts;
+  // every burst size must reproduce a scalar forward() loop that applies
+  // each op in place the moment its apply_index passes.
+  using Fleet = std::vector<std::unique_ptr<x86::XgwX86>>;
+  const auto packets = make_stream(0x7e57ULL);
+  const auto updates = make_churn(48);
+
+  Fleet truth_fleet = make_fleet<x86::XgwX86>(1 << 10);
+  std::vector<Verdict> truth(packets.size());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    for (; next < updates.size() && updates[next].apply_index < i; ++next) {
+      const TableOpBatch batch = TableOpBatch::single(updates[next].op);
+      for (auto& node : truth_fleet) node->apply(batch);
+    }
+    const std::size_t shard =
+        static_cast<std::size_t>(packets[i].inner.hash()) % kShards;
+    truth[i] = truth_fleet[shard]->forward(packets[i], /*now=*/0.0);
+  }
+  const auto truth_regs = fleet_registries(truth_fleet);
+  std::uint64_t truth_hits = 0;
+  for (const auto& node : truth_fleet) {
+    truth_hits += node->flow_cache_stats().hits;
+  }
+  ASSERT_GT(truth_hits, 0u);
+
+  for (const std::size_t batch :
+       {std::size_t{1}, std::size_t{7}, std::size_t{32}}) {
+    Fleet fleet = make_fleet<x86::XgwX86>(1 << 10);
+    std::vector<std::uint64_t> base(kShards);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      base[s] = fleet[s]->table_version();
+    }
+    ShardEngine::UpdatePlan plan;
+    plan.updates = updates;
+    plan.apply = [&](std::size_t k) {
+      const TableOpBatch ops = TableOpBatch::single(updates[k].op);
+      for (auto& node : fleet) node->apply(ops);
+    };
+    plan.advance = [&](std::size_t shard, std::size_t visible) {
+      fleet[shard]->set_lookup_seq(base[shard] + visible);
+    };
+    ShardEngine engine({kShards, /*threads=*/2, batch});
+    std::vector<Verdict> got(packets.size());
+    engine.process_packets(
+        packets, /*now=*/0.0,
+        [&](std::size_t s) -> Gateway& { return *fleet[s]; }, got, plan);
+    for (auto& node : fleet) node->set_lookup_seq(std::nullopt);
+
+    expect_identical(got, truth, /*threads=*/2, batch);
+    const auto regs = fleet_registries(fleet);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(regs[s], truth_regs[s])
+          << "registry diverged on shard " << s << " batch " << batch;
+      EXPECT_TRUE(same_stats(fleet[s]->flow_cache_stats(),
+                             truth_fleet[s]->flow_cache_stats()))
+          << "cache stats diverged on shard " << s << " batch " << batch;
+    }
+  }
+}
+
+TEST(BatchIdentity, XgwX86PuntsLeaveTheCacheUntouched) {
+  // forward_punted is a burst of one through the same loop minus the
+  // cache: it must neither probe nor fill, even for flows the cache holds.
+  auto fleet = make_fleet<x86::XgwX86>(1 << 10);
+  x86::XgwX86& node = *fleet[0];
+  const auto packets = make_stream(0x977ULL);
+  for (const auto& pkt : packets) node.forward(pkt, /*now=*/0.0);
+  const FlowCacheStats before = node.flow_cache_stats();
+  ASSERT_GT(before.hits, 0u);
+  ASSERT_GT(before.occupied, 0u);
+  const std::uint64_t in = node.registry().counter_value("x86.packets_in");
+  for (const auto& pkt : packets) node.forward_punted(pkt, /*now=*/0.0);
+  EXPECT_TRUE(same_stats(node.flow_cache_stats(), before));
+  EXPECT_EQ(node.registry().counter_value("x86.packets_in"),
+            in + packets.size());
 }
 
 // ---- single-hash contract --------------------------------------------------

@@ -91,6 +91,28 @@ TEST(FlowCache, EvictionIsBoundedAndTheNewestKeyAlwaysLands) {
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 
+TEST(FlowCache, InsertKeepsOtherGenerationsLiveInItsWindow) {
+  // Generations are per VNI, so an entry stamped with a generation other
+  // than the inserting key's may be another tenant's live flow, not a
+  // stale one. Two flows of different VNIs whose home slots collide,
+  // filled under different generations, must both stay live.
+  FlowCache<int> cache(FlowCache<int>::Config{/*entries=*/64});
+  const FlowKey a = make_flow_key(10, tuple(2));
+  FlowKey b;
+  for (std::uint16_t port = 1;; ++port) {
+    b = make_flow_key(41, tuple(2, port));
+    if ((b.hi & 63) == (a.hi & 63)) break;
+  }
+  cache.insert(a, /*generation=*/1, 1);
+  cache.insert(b, /*generation=*/2, 2);
+  ASSERT_NE(cache.find(a, 1), nullptr);
+  ASSERT_NE(cache.find(b, 2), nullptr);
+  EXPECT_EQ(*cache.find(a, 1), 1);
+  EXPECT_EQ(*cache.find(b, 2), 2);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().occupied, 2u);
+}
+
 TEST(FlowCache, ClearDropsEverything) {
   FlowCache<int> cache;
   const FlowKey key = make_flow_key(10, tuple(2));

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "tables/lpm_trie.hpp"
+#include "lpm_trie.hpp"
 #include "tables/route_table.hpp"
 #include "workload/rng.hpp"
 

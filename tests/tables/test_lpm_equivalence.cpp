@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "tables/lpm_trie.hpp"
+#include "lpm_trie.hpp"
 #include "tables/tcam.hpp"
 #include "workload/rng.hpp"
 

@@ -1,4 +1,4 @@
-#include "tables/lpm_trie.hpp"
+#include "lpm_trie.hpp"
 
 #include <gtest/gtest.h>
 

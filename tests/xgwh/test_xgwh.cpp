@@ -188,7 +188,7 @@ TEST(XgwH, FallbackRateLimiterDropsExcess) {
   const auto second = gw.forward(packet, /*now=*/0);
   EXPECT_EQ(first.action, dataplane::Action::kFallbackToX86);
   EXPECT_EQ(second.action, dataplane::Action::kDrop);
-  EXPECT_EQ(gw.telemetry().fallback_rate_limited, 1u);
+  EXPECT_EQ(gw.registry().counter_value("xgwh.fallback_rate_limited"), 1u);
 }
 
 TEST(XgwH, ShardPipesSplitByVniHash) {
@@ -211,8 +211,8 @@ TEST(XgwH, ShardPipesSplitByVniHash) {
   const auto shard1 = gw.forward(packet_to(vni1, "10.0.0.1", "10.0.0.2"));
   EXPECT_EQ(shard0.shard_pipe, 1u);
   EXPECT_EQ(shard1.shard_pipe, 3u);
-  EXPECT_GT(gw.shard_pipe_bytes()[1], 0u);
-  EXPECT_GT(gw.shard_pipe_bytes()[3], 0u);
+  EXPECT_GT(gw.registry().counter_value("xgwh.pipe1.loopback_bytes"), 0u);
+  EXPECT_GT(gw.registry().counter_value("xgwh.pipe3.loopback_bytes"), 0u);
 }
 
 TEST(XgwH, TableCountsAndConsistencyHelpers) {

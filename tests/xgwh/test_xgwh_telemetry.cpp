@@ -32,12 +32,12 @@ TEST(XgwHTelemetry, CountersTrackOutcomes) {
   gw.forward(pkt(3, "93.184.216.34"), 1);  // fallback
   gw.forward(pkt(9, "10.0.0.9"), 1);       // route miss -> fallback
 
-  const auto& telemetry = gw.telemetry();
-  EXPECT_EQ(telemetry.packets_in, 3u);
-  EXPECT_EQ(telemetry.packets_forwarded, 1u);
-  EXPECT_EQ(telemetry.packets_fallback, 2u);
-  EXPECT_EQ(telemetry.packets_dropped, 0u);
-  EXPECT_GT(telemetry.bytes_in, 0u);
+  const auto& reg = gw.registry();
+  EXPECT_EQ(reg.counter_value("xgwh.packets_in"), 3u);
+  EXPECT_EQ(reg.counter_value("xgwh.packets_forwarded"), 1u);
+  EXPECT_EQ(reg.counter_value("xgwh.packets_fallback"), 2u);
+  EXPECT_EQ(reg.counter_value("xgwh.packets_dropped"), 0u);
+  EXPECT_GT(reg.counter_value("xgwh.bytes_in"), 0u);
 }
 
 TEST(XgwHTelemetry, RegistryMirrorsTheTelemetryStruct) {
@@ -51,12 +51,6 @@ TEST(XgwHTelemetry, RegistryMirrorsTheTelemetryStruct) {
   gw.forward(pkt(9, "10.0.0.9"), 1);  // route miss -> fallback
 
   const auto& reg = gw.registry();
-  EXPECT_EQ(reg.counter_value("xgwh.packets_in"), gw.telemetry().packets_in);
-  EXPECT_EQ(reg.counter_value("xgwh.packets_forwarded"),
-            gw.telemetry().packets_forwarded);
-  EXPECT_EQ(reg.counter_value("xgwh.packets_fallback"),
-            gw.telemetry().packets_fallback);
-  EXPECT_EQ(reg.counter_value("xgwh.bytes_in"), gw.telemetry().bytes_in);
 
   // Per-table hit/miss counters.
   EXPECT_GT(reg.counter_value("xgwh.table.route.hit"), 0u);
@@ -69,12 +63,6 @@ TEST(XgwHTelemetry, RegistryMirrorsTheTelemetryStruct) {
   const auto snap = reg.snapshot();
   ASSERT_NE(snap.histogram("xgwh.latency_us"), nullptr);
   EXPECT_EQ(snap.histogram("xgwh.latency_us")->count, 2u);
-
-  // Loopback pipe bytes mirror the shard_pipe_bytes() array.
-  EXPECT_EQ(reg.counter_value("xgwh.pipe1.loopback_bytes"),
-            gw.shard_pipe_bytes()[1]);
-  EXPECT_EQ(reg.counter_value("xgwh.pipe3.loopback_bytes"),
-            gw.shard_pipe_bytes()[3]);
 }
 
 TEST(XgwHTelemetry, AclRangeRowsReachOccupancyModel) {
